@@ -212,19 +212,25 @@ bool HasSuffix(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// The CSV flags; main() has already rejected a bad --delimiter.
+CsvOptions CsvFlags(const ArgParser& args) {
+  CsvOptions options;
+  options.has_header = !args.GetBool("no-header", false);
+  if (args.Has("delimiter")) {
+    (void)SetCsvDelimiter(args.GetString("delimiter", ""), &options);
+  }
+  options.nulls_distinct = args.GetBool("nulls-distinct", false);
+  options.null_token = args.GetString("null-token", "");
+  return options;
+}
+
 Result<Relation> Load(const ArgParser& args) {
   if (args.positional().size() < 2) {
     return Status::InvalidArgument("missing input path");
   }
   const std::string& path = args.positional()[1];
   if (HasSuffix(path, ".dmc")) return ReadColumnFile(path);
-  CsvOptions options;
-  options.has_header = !args.GetBool("no-header", false);
-  const std::string delim = args.GetString("delimiter", ",");
-  if (!delim.empty()) options.delimiter = delim[0];
-  options.nulls_distinct = args.GetBool("nulls-distinct", false);
-  options.null_token = args.GetString("null-token", "");
-  return ReadCsvRelation(path, options);
+  return ReadCsvRelation(path, CsvFlags(args));
 }
 
 /// What a mining command needs back: the FDs plus how the run ended.
@@ -435,11 +441,7 @@ int CmdMineCheckpointed(const ArgParser& args) {
                                           : AgreeSetAlgorithm::kCouples;
   options.num_threads = ThreadsFlag(args);
   options.run_context = &g_run_context;
-  options.csv.has_header = !args.GetBool("no-header", false);
-  const std::string delim = args.GetString("delimiter", ",");
-  if (!delim.empty()) options.csv.delimiter = delim[0];
-  options.csv.nulls_distinct = args.GetBool("nulls-distinct", false);
-  options.csv.null_token = args.GetString("null-token", "");
+  options.csv = CsvFlags(args);
 
   Result<CheckpointedMineResult> mined = MineCsvWithCheckpoints(path, options);
   if (!mined.ok()) {
@@ -1219,6 +1221,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "error: --%s must be a positive integer, got \"%s\"\n",
                    flag, raw.c_str());
+      return 2;
+    }
+  }
+  if (args.Has("delimiter")) {
+    CsvOptions csv;
+    const Status delimiter =
+        SetCsvDelimiter(args.GetString("delimiter", ""), &csv);
+    if (!delimiter.ok()) {
+      std::fprintf(stderr, "error: --delimiter: %s\n",
+                   delimiter.message().c_str());
       return 2;
     }
   }

@@ -19,8 +19,10 @@ Result<Relation> LoadInput(const ArgParser& args) {
   if (!args.positional().empty()) {
     CsvOptions options;
     options.has_header = !args.GetBool("no-header", false);
-    const std::string delim = args.GetString("delimiter", ",");
-    if (!delim.empty()) options.delimiter = delim[0];
+    if (args.Has("delimiter")) {
+      DEPMINER_RETURN_NOT_OK(
+          SetCsvDelimiter(args.GetString("delimiter", ""), &options));
+    }
     return ReadCsvRelation(args.positional()[0], options);
   }
   // The paper's running example (§3, Example 1).

@@ -228,6 +228,18 @@ PYEOF
   rm -f /tmp/depminer_bench_compare_smoke.json
 fi
 
+# perfbench self-test (perfbench/README.md): every workload in smoke mode,
+# untraced and traced. Every op's cover must equal a TANE-checked
+# reference byte for byte, and the work counts (couples, agree sets, max
+# sets, LHS candidates, FDs, ...) must repeat exactly at a fixed seed.
+# It builds its own Release library from this checkout into .bench_build/.
+for preset in "${presets[@]}"; do
+  if [ "${preset}" = "default" ] && command -v python3 >/dev/null 2>&1; then
+    echo "==> perfbench self-test [default]"
+    python3 perfbench/selftest.py
+  fi
+done
+
 # Kill-and-resume smoke-run: SIGKILL a checkpointed mine while the
 # job/stall fault site holds it at a phase boundary (checkpoint already
 # on disk), then resume and require the exact cover an uninterrupted

@@ -1,5 +1,6 @@
 #include "common/file_reader.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <streambuf>
@@ -41,6 +42,19 @@ class RetryingFileStream::Buf : public std::streambuf {
   bool is_open() const { return fd_ >= 0; }
   const Status& status() const { return status_; }
   size_t retries() const { return retries_; }
+
+  size_t ReadBlock(char* dst, size_t n) {
+    const size_t buffered = static_cast<size_t>(egptr() - gptr());
+    if (buffered > 0) {
+      const size_t take = std::min(buffered, n);
+      std::memcpy(dst, gptr(), take);
+      gbump(static_cast<int>(take));
+      return take;
+    }
+    if (fd_ < 0 || !status_.ok()) return 0;
+    const ssize_t got = ReadWithRetry(dst, n);
+    return got > 0 ? static_cast<size_t>(got) : 0;
+  }
 
  protected:
   int_type underflow() override {
@@ -122,5 +136,9 @@ bool RetryingFileStream::is_open() const { return buf_->is_open(); }
 const Status& RetryingFileStream::status() const { return buf_->status(); }
 
 size_t RetryingFileStream::retries() const { return buf_->retries(); }
+
+size_t RetryingFileStream::ReadBlock(char* dst, size_t n) {
+  return buf_->ReadBlock(dst, n);
+}
 
 }  // namespace depminer

@@ -53,6 +53,14 @@ class RetryingFileStream : public std::istream {
   /// Read syscalls retried so far (EINTR and backoff retries); test hook.
   size_t retries() const;
 
+  /// Reads at most `n` bytes for a block parser, bypassing the stream
+  /// buffer: bytes an `istream` read left buffered come first, otherwise
+  /// one `read(2)` (retried per policy) fills `dst` directly. Returns 0
+  /// at end of file or after an unrecoverable error (`status()` tells
+  /// them apart). A short count is not end of file, so the
+  /// `io/csv-short-read` fault reaches the parser as 1-byte blocks.
+  size_t ReadBlock(char* dst, size_t n);
+
  private:
   class Buf;
   std::unique_ptr<Buf> buf_;

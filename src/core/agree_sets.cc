@@ -1,6 +1,7 @@
 #include "core/agree_sets.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 
 #include "common/parallel.h"
@@ -12,75 +13,175 @@ namespace depminer {
 
 namespace {
 
-uint64_t CoupleKey(TupleId a, TupleId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(a) << 32) | b;
+/// Stripped classes as views into the database: the family couples are
+/// drawn from. Nothing is copied on the Algorithm 2 path.
+using ClassRefs = std::vector<ClassView>;
+
+/// True iff stripped class `c` of attribute `a` is not in MC: it lies
+/// strictly inside another stripped class, or equals one of a smaller
+/// attribute (equal classes keep one copy, the smallest attribute's).
+/// Decided from the label table alone: c ⊆ some class of B ≠ a iff B's
+/// label is one nonzero value across all of c.
+bool Dominated(const StrippedPartitionDatabase& db,
+               const ClassLabelTable& labels, AttributeId a, ClassView c) {
+  // Screen every candidate B at once on c's first tuples: one compare
+  // per tuple keeps the B whose class of c[0] also holds that tuple, and
+  // most classes run out of candidates after a tuple or two.
+  AttributeSet candidates = labels.Agree(c[0], c[1]);
+  candidates.Remove(a);
+  for (size_t k = 2; k < c.size() && !candidates.Empty(); ++k) {
+    candidates = candidates.Intersect(labels.Agree(c[0], c[k]));
+  }
+  if (candidates.Empty()) return false;
+  // c ⊆ the class of every surviving B: a smaller attribute dominates
+  // whether its class is equal or larger; a larger one only if larger.
+  if (candidates.Min() < a) return true;
+  bool dominated = false;
+  candidates.ForEach([&](AttributeId b) {
+    const uint32_t label = labels.Label(c[0], b);
+    if (db.partition(b).classes()[label - 1].size() > c.size()) {
+      dominated = true;
+    }
+  });
+  return dominated;
 }
 
-/// Enumerates the distinct couples of tuples inside a family of
-/// equivalence classes; the same couple may co-occur in several classes
-/// (overlapping maximal classes) and is reported once — "couples" is a
-/// set in the paper's Algorithm 2. Deduplication is sort+unique over
-/// packed (lo, hi) keys, which beats hashing at the couple counts the
-/// benchmark grids produce. Generation writes each class's couples at a
-/// precomputed offset and the sort runs on the pool, so enumeration
-/// parallelizes without changing the (sorted, deduplicated) output.
-class CoupleEnumerator {
- public:
-  explicit CoupleEnumerator(const std::vector<EquivalenceClass>& classes,
-                            size_t num_threads = 1) {
-    std::vector<size_t> offsets(classes.size() + 1, 0);
-    for (size_t i = 0; i < classes.size(); ++i) {
-      const size_t n = classes[i].size();
-      offsets[i + 1] = offsets[i] + n * (n - 1) / 2;
-    }
-    keys_.resize(offsets.back());
-    ParallelFor(0, classes.size(), num_threads, [&](size_t ci) {
-      uint64_t* out = keys_.data() + offsets[ci];
-      const EquivalenceClass& c = classes[ci];
-      for (size_t i = 0; i < c.size(); ++i) {
-        for (size_t j = i + 1; j < c.size(); ++j) {
-          *out++ = CoupleKey(c[i], c[j]);
-        }
-      }
-    });
-    ParallelSort(keys_.begin(), keys_.end(), num_threads);
-    keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+/// The maximal equivalence classes MC = Max⊆{c ∈ π̂_A : π̂_A ∈ r̂} (paper
+/// §3.1, Lemma 1), in (attribute, class) order. Each class's test is
+/// independent, so the classes split into morsels across pool lanes.
+ClassRefs MaximalClasses(const StrippedPartitionDatabase& db,
+                         const ClassLabelTable& labels, size_t num_threads) {
+  DEPMINER_TRACE_SPAN(span, "agree/maximal_classes");
+  std::vector<std::pair<ClassView, AttributeId>> all;
+  for (AttributeId a = 0; a < db.num_attributes(); ++a) {
+    for (const ClassView c : db.partition(a).classes()) all.emplace_back(c, a);
   }
-
-  /// Calls fn(t, t') for every distinct couple; returns the couple count.
-  template <typename Fn>
-  size_t ForEach(Fn&& fn) const {
-    for (const uint64_t key : keys_) {
-      fn(static_cast<TupleId>(key >> 32),
-         static_cast<TupleId>(key & 0xFFFFFFFFu));
+  std::vector<char> keep(all.size(), 0);
+  const MorselPlan plan(0, all.size(), num_threads);
+  ParallelFor(0, plan.count, num_threads, [&](size_t m) {
+    for (size_t i = plan.lo(m); i < plan.hi(m); ++i) {
+      keep[i] = !Dominated(db, labels, all[i].second, all[i].first);
     }
-    return keys_.size();
+  });
+  ClassRefs kept;
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (keep[i]) kept.push_back(all[i].first);
   }
+  span.SetValue(kept.size());
+  return kept;
+}
 
-  /// The packed (lo, hi) couple keys, for loops that need to bail out
-  /// mid-enumeration (RunContext checks).
-  const std::vector<uint64_t>& keys() const { return keys_; }
-
-  size_t size() const { return keys_.size(); }
-
- private:
-  std::vector<uint64_t> keys_;
-};
-
-/// The class family couples are drawn from: the maximal equivalence
-/// classes (the paper's MC, Lemma 1) or — for the ablation measuring what
-/// MC pruning buys — every stripped class of every attribute.
-std::vector<EquivalenceClass> CoupleSourceClasses(
-    const StrippedPartitionDatabase& db, bool use_maximal_classes,
-    size_t num_threads) {
-  if (use_maximal_classes) return MaximalEquivalenceClasses(db, num_threads);
-  std::vector<EquivalenceClass> all;
+/// Every stripped class of every attribute: the ablation measuring what
+/// MC pruning buys.
+ClassRefs AllClasses(const StrippedPartitionDatabase& db) {
+  ClassRefs all;
   for (const StrippedPartition& p : db.partitions()) {
-    all.insert(all.end(), p.classes().begin(), p.classes().end());
+    for (const ClassView c : p.classes()) all.push_back(c);
   }
   return all;
 }
+
+/// Sorts packed couple keys by LSD radix over 8-bit digits, skipping the
+/// digits that are constant over all keys: below 2^16 tuples only four of
+/// the eight vary.
+void RadixSort(std::vector<uint64_t>* keys) {
+  if (keys->size() < 2) return;
+  uint64_t varying = 0;
+  const uint64_t first = keys->front();
+  for (const uint64_t key : *keys) varying |= key ^ first;
+  std::vector<uint64_t> scratch(keys->size());
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFF) == 0) continue;
+    std::array<size_t, 256> offsets{};
+    for (const uint64_t key : *keys) ++offsets[(key >> shift) & 0xFF];
+    size_t sum = 0;
+    for (size_t& offset : offsets) {
+      const size_t count = offset;
+      offset = sum;
+      sum += count;
+    }
+    for (const uint64_t key : *keys) {
+      scratch[offsets[(key >> shift) & 0xFF]++] = key;
+    }
+    keys->swap(scratch);
+  }
+}
+
+/// The distinct couples of tuples inside a class family, as packed
+/// (lo << 32 | hi) keys in increasing order; the same couple may lie in
+/// several (overlapping) classes and is kept once — "couples" is a set in
+/// the paper's Algorithm 2. Each class writes its couples at a
+/// precomputed offset on the pool; deduplication is a radix sort plus
+/// unique, so the output is the same at any thread count.
+struct CoupleKeys {
+  std::vector<uint64_t> keys;
+  /// Keys generated before deduplication (the sort's working set).
+  size_t generated = 0;
+};
+
+CoupleKeys DistinctCouples(const ClassRefs& classes, size_t num_threads) {
+  std::vector<size_t> offsets(classes.size() + 1, 0);
+  for (size_t i = 0; i < classes.size(); ++i) {
+    const size_t n = classes[i].size();
+    offsets[i + 1] = offsets[i] + n * (n - 1) / 2;
+  }
+  CoupleKeys out;
+  out.generated = offsets.back();
+  out.keys.resize(out.generated);
+  ParallelFor(0, classes.size(), num_threads, [&](size_t ci) {
+    uint64_t* dst = out.keys.data() + offsets[ci];
+    const ClassView c = classes[ci];
+    // Tuple ids increase within a class, so c[i] is the couple's lo.
+    for (size_t i = 0; i < c.size(); ++i) {
+      const uint64_t lo = static_cast<uint64_t>(c[i]) << 32;
+      for (size_t j = i + 1; j < c.size(); ++j) *dst++ = lo | c[j];
+    }
+  });
+  RadixSort(&out.keys);
+  out.keys.erase(std::unique(out.keys.begin(), out.keys.end()),
+                 out.keys.end());
+  return out;
+}
+
+/// The distinct agree sets one morsel meets, in first-seen order, behind
+/// an open-addressing index. Few distinct sets arise among many couples
+/// (104 among 375k at the paper's 25k-tuple point), so the index stays
+/// small and hot; a couple repeating the previous couple's set skips the
+/// probe.
+class AgreeSetCollector {
+ public:
+  void Add(const AttributeSet& set) {
+    if (!sets_.empty() && set == last_) return;
+    last_ = set;
+    if (2 * (sets_.size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = AttributeSetHash()(set) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == 0) {
+        sets_.push_back(set);
+        slots_[i] = static_cast<uint32_t>(sets_.size());
+        return;
+      }
+      if (sets_[slots_[i] - 1] == set) return;
+    }
+  }
+
+  std::vector<AttributeSet> Take() && { return std::move(sets_); }
+
+ private:
+  void Grow() {
+    slots_.assign(std::max<size_t>(64, 2 * slots_.size()), 0);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t k = 0; k < sets_.size(); ++k) {
+      size_t i = AttributeSetHash()(sets_[k]) & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = k + 1;
+    }
+  }
+
+  std::vector<AttributeSet> sets_;
+  std::vector<uint32_t> slots_;  ///< 0 = vacant, else index into sets_ + 1
+  AttributeSet last_;
+};
 
 /// Deduplicates an agree-set accumulation buffer in place (word-order
 /// sort + unique — cheaper than hashing at these volumes).
@@ -139,55 +240,20 @@ const char* ToString(AgreeSetAlgorithm algorithm) {
 
 std::vector<EquivalenceClass> MaximalEquivalenceClasses(
     const StrippedPartitionDatabase& db, size_t num_threads) {
-  DEPMINER_TRACE_SPAN(span, "agree/maximal_classes");
-  // Gather every stripped class, sort largest first (parallel), then keep
-  // the ⊆-maximal ones. A class is dominated iff some class *earlier in
-  // the sorted order* contains it: strict supersets are larger and so
-  // sort earlier, duplicates keep only their first occurrence, and ⊆ is
-  // transitive, so checking against all earlier classes (dominated ones
-  // included) marks exactly the classes the incremental kept-only scan
-  // would drop — but every class's check is now independent, so the scan
-  // partitions across pool lanes. Each check only compares against the
-  // classes sharing its first tuple, via a per-tuple index.
-  std::vector<const EquivalenceClass*> all;
-  for (const StrippedPartition& p : db.partitions()) {
-    for (const EquivalenceClass& c : p.classes()) all.push_back(&c);
-  }
-  ParallelSort(all.begin(), all.end(), num_threads,
-               [](const EquivalenceClass* a, const EquivalenceClass* b) {
-                 if (a->size() != b->size()) return a->size() > b->size();
-                 return *a < *b;  // deterministic order; groups duplicates
+  const ClassLabelTable labels = ClassLabelTable::Build(db, num_threads);
+  ClassRefs kept = MaximalClasses(db, labels, num_threads);
+  // Largest first, then lexicographic: one canonical order for callers
+  // that compare or print MC.
+  ParallelSort(kept.begin(), kept.end(), num_threads,
+               [](ClassView a, ClassView b) {
+                 if (a.size() != b.size()) return a.size() > b.size();
+                 return std::lexicographical_compare(a.begin(), a.end(),
+                                                     b.begin(), b.end());
                });
-
-  std::vector<std::vector<uint32_t>> with_tuple(db.num_tuples());
-  for (size_t i = 0; i < all.size(); ++i) {
-    for (TupleId t : *all[i]) {
-      with_tuple[t].push_back(static_cast<uint32_t>(i));
-    }
-  }
-
-  std::vector<char> dominated(all.size(), 0);
-  ParallelFor(0, all.size(), num_threads, [&](size_t i) {
-    const EquivalenceClass& c = *all[i];
-    // Ascending index lists: once k ≥ i only later (no larger) classes
-    // remain, none of which can dominate i.
-    for (uint32_t k : with_tuple[c.front()]) {
-      if (k >= i) break;
-      const EquivalenceClass& cand = *all[k];
-      // both sorted: subset test by inclusion scan
-      if (std::includes(cand.begin(), cand.end(), c.begin(), c.end())) {
-        dominated[i] = 1;
-        break;
-      }
-    }
-  });
-
-  std::vector<EquivalenceClass> kept;
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (!dominated[i]) kept.push_back(*all[i]);
-  }
-  span.SetValue(kept.size());
-  return kept;
+  std::vector<EquivalenceClass> out;
+  out.reserve(kept.size());
+  for (const ClassView c : kept) out.emplace_back(c.begin(), c.end());
+  return out;
 }
 
 AgreeSetResult ComputeAgreeSetsNaive(const Relation& relation,
@@ -227,76 +293,62 @@ AgreeSetResult ComputeAgreeSetsCouples(const StrippedPartitionDatabase& db,
   result.chunks_processed = 0;
 
   const size_t num_threads = std::max<size_t>(1, options.num_threads);
-  const std::vector<EquivalenceClass> sources =
-      CoupleSourceClasses(db, options.use_maximal_classes, num_threads);
-
-  // Materialize the distinct couples (Algorithm 2 lines 4-9), possibly in
-  // chunks (the paper's memory threshold).
-  std::vector<std::pair<TupleId, TupleId>> couples;
-  {
-    DEPMINER_TRACE_SPAN(couples_span, "agree/couples");
-    const CoupleEnumerator enumerator(sources, num_threads);
-    couples.reserve(enumerator.size());
-    enumerator.ForEach(
-        [&couples](TupleId a, TupleId b) { couples.emplace_back(a, b); });
-    couples_span.SetValue(couples.size());
-  }
-  const size_t total_couples = couples.size();
-  result.couples_examined = total_couples;
-  DEPMINER_TRACE_COUNTER("agree.couples", total_couples);
-  DEPMINER_PROGRESS_PHASE("agree", "couples", total_couples);
-
-  // Each attribute's class labels, computed once per run (they used to be
-  // recomputed per chunk) and laid out as one contiguous row per
-  // attribute so the per-chunk scans below stream through memory.
+  // Each tuple's class labels, one padded row per tuple: MC and every
+  // couple's agree set are both read off this one table.
   const ClassLabelTable labels = [&] {
     DEPMINER_TRACE_SPAN(labels_span, "agree/labels");
     return ClassLabelTable::Build(db, num_threads);
   }();
 
-  const size_t chunk_size =
-      options.max_couples_per_chunk == 0
-          ? std::max<size_t>(couples.size(), 1)
-          : options.max_couples_per_chunk;
+  // Materialize the distinct couples (Algorithm 2 lines 4-9), from the
+  // maximal classes or — for the ablation — from every class.
+  CoupleKeys couples;
+  {
+    const ClassRefs sources = options.use_maximal_classes
+                                  ? MaximalClasses(db, labels, num_threads)
+                                  : AllClasses(db);
+    DEPMINER_TRACE_SPAN(couples_span, "agree/couples");
+    couples = DistinctCouples(sources, num_threads);
+    couples_span.SetValue(couples.keys.size());
+  }
+  const std::vector<uint64_t>& keys = couples.keys;
+  const size_t total_couples = keys.size();
+  result.couples_examined = total_couples;
+  DEPMINER_TRACE_COUNTER("agree.couples", total_couples);
+  DEPMINER_PROGRESS_PHASE("agree", "couples", total_couples);
 
-  // The dominant working structures: the materialized couple list, the
-  // label table, one chunk's retained morsel outputs, and the in-flight
-  // per-morsel scratch buffers (one grain-sized agree buffer per active
-  // lane). Charged so a memory budget can veto the run before the chunk
-  // loop starts.
-  const size_t chunk_couples =
-      std::min(chunk_size, std::max<size_t>(couples.size(), 1));
-  const MorselPlan chunk_plan(0, chunk_couples, num_threads);
+  // The working set at its high-water mark, couple deduplication: the
+  // label table, the generated couple keys and the radix sort's scratch
+  // copy of them. The scan below adds only each morsel's distinct sets.
+  // Charged so a memory budget can veto the run before the chunk loop.
   result.working_bytes =
-      total_couples * (sizeof(uint64_t) + sizeof(std::pair<TupleId, TupleId>)) +
-      labels.bytes() + chunk_couples * sizeof(AttributeSet) +
-      std::min(num_threads, std::max<size_t>(chunk_plan.count, 1)) *
-          chunk_plan.grain * sizeof(AttributeSet);
+      labels.bytes() + 2 * couples.generated * sizeof(uint64_t);
   ScopedMemoryCharge memory(options.run_context);
   memory.Set(result.working_bytes);
   DEPMINER_FAULT_ALLOC("alloc/agree", options.run_context);
 
   RunContext* ctx = options.run_context;
+  const size_t chunk_size = options.max_couples_per_chunk == 0
+                                ? std::max<size_t>(total_couples, 1)
+                                : options.max_couples_per_chunk;
   std::vector<AttributeSet> distinct;
 
-  for (size_t begin = 0; begin < couples.size(); begin += chunk_size) {
+  for (size_t begin = 0; begin < total_couples; begin += chunk_size) {
     if (ctx != nullptr && ctx->limited()) {
       result.status = ctx->Check();
       if (!result.status.ok()) break;
     }
-    const size_t end = std::min(couples.size(), begin + chunk_size);
+    const size_t end = std::min(total_couples, begin + chunk_size);
     DEPMINER_TRACE_SPAN(chunk_span, "agree/chunk");
     chunk_span.SetValue(end - begin);
 
     // Lines 10-18 of the chunk, morselized: the couple range splits into
-    // grain-sized morsels pulled dynamically from the pool queue. Each
-    // morsel walks every label row over its sub-range (cache-friendly:
-    // label rows are scanned, not rebuilt), accumulates its agree sets in
-    // a private grain-sized buffer and deduplicates before publishing.
-    // A morsel's output is a pure function of its sub-range — merging in
-    // morsel order keeps the result bit-identical at any thread count,
-    // while dynamic claiming keeps lanes busy when couples are skewed
-    // (dense label rows make some morsels much heavier than others).
+    // grain-sized morsels pulled dynamically from the pool queue. A
+    // couple's agree set is one compare of its two label rows; each
+    // morsel keeps only the distinct sets it meets. A morsel's output is
+    // a pure function of its sub-range — merging in morsel order keeps
+    // the result bit-identical at any thread count, while dynamic
+    // claiming keeps lanes busy when couples are skewed.
     const MorselPlan plan(begin, end, num_threads);
     std::vector<std::vector<AttributeSet>> morsel_sets(plan.count);
     std::atomic<bool> stopped{false};
@@ -304,23 +356,17 @@ AgreeSetResult ComputeAgreeSetsCouples(const StrippedPartitionDatabase& db,
         0, plan.count, num_threads,
         [&](size_t m) {
           const size_t lo = plan.lo(m), hi = plan.hi(m);
-          std::vector<AttributeSet> agree(hi - lo);
+          AgreeSetCollector collector;
           StridedStopPoller poll(ctx, 4096);
-          for (AttributeId a = 0; a < db.num_attributes(); ++a) {
-            const uint32_t* row = labels.Row(a);
-            for (size_t k = lo; k < hi; ++k) {
-              if (poll.StopRequested()) {
-                stopped.store(true, std::memory_order_relaxed);
-                return;
-              }
-              const auto [t, u] = couples[k];
-              if (row[t] != 0 && row[t] == row[u]) {
-                agree[k - lo].Add(a);
-              }
+          for (size_t k = lo; k < hi; ++k) {
+            if (poll.StopRequested()) {
+              stopped.store(true, std::memory_order_relaxed);
+              return;
             }
+            collector.Add(labels.Agree(static_cast<TupleId>(keys[k] >> 32),
+                                       static_cast<TupleId>(keys[k])));
           }
-          DedupSets(&agree);
-          morsel_sets[m] = std::move(agree);
+          morsel_sets[m] = std::move(collector).Take();
           // Batched per morsel, never per couple: one histogram record
           // and one progress tick per grain of work.
           DEPMINER_TRACE_HISTOGRAM("agree_morsel_couples/chunked", hi - lo);
@@ -329,10 +375,10 @@ AgreeSetResult ComputeAgreeSetsCouples(const StrippedPartitionDatabase& db,
         [&stopped] { return stopped.load(std::memory_order_relaxed); });
 
     if (stopped.load(std::memory_order_relaxed)) {
-      // A chunk is all-or-nothing: a morsel that bailed mid-scan has
-      // agree sets missing attributes, so the whole chunk is discarded
-      // and the result keeps only the chunks completed before the trip —
-      // the same granularity the serial path degrades at.
+      // A chunk is all-or-nothing: a morsel that bailed mid-scan has not
+      // seen all of its couples, so the whole chunk is discarded and the
+      // result keeps only the chunks completed before the trip — the
+      // same granularity the serial path degrades at.
       result.status = TripStatus(ctx);
       break;
     }
@@ -374,7 +420,7 @@ AgreeSetResult ComputeAgreeSetsIdentifiers(const StrippedPartitionDatabase& db,
     DEPMINER_TRACE_SPAN(ec_span, "agree/ec_lists");
     for (AttributeId a = 0; a < db.num_attributes(); ++a) {
       const StrippedPartition& part = db.partition(a);
-      for (size_t i = 0; i < part.classes().size(); ++i) {
+      for (size_t i = 0; i < part.num_classes(); ++i) {
         const uint64_t id = (static_cast<uint64_t>(a) << 32) | i;
         for (TupleId t : part.classes()[i]) ec[t].push_back(id);
       }
@@ -383,17 +429,18 @@ AgreeSetResult ComputeAgreeSetsIdentifiers(const StrippedPartitionDatabase& db,
 
   const std::vector<EquivalenceClass> mc =
       MaximalEquivalenceClasses(db, num_threads);
+  const ClassRefs mc_refs(mc.begin(), mc.end());
 
   // Step 2 (lines 9-14): ag(t, t') from ec(t) ∩ ec(t') by sorted merge.
   DEPMINER_TRACE_SPAN(intersect_span, "agree/intersect");
-  const CoupleEnumerator enumerator(mc, num_threads);
-  const size_t total_couples = enumerator.size();
+  const CoupleKeys couples = DistinctCouples(mc_refs, num_threads);
+  const size_t total_couples = couples.keys.size();
   result.couples_examined = total_couples;
   intersect_span.SetValue(total_couples);
   DEPMINER_TRACE_COUNTER("agree.couples", total_couples);
   DEPMINER_PROGRESS_PHASE("agree", "couples", total_couples);
   result.working_bytes =
-      total_couples * sizeof(uint64_t) +           // couple keys
+      2 * couples.generated * sizeof(uint64_t) +   // couple keys + sort scratch
       db.TotalMemberships() * sizeof(uint64_t) +   // ec lists
       total_couples * sizeof(AttributeSet);        // per-morsel ag buffers
 
@@ -411,7 +458,7 @@ AgreeSetResult ComputeAgreeSetsIdentifiers(const StrippedPartitionDatabase& db,
   // morsel that observes a tripped context stops at its current couple —
   // its prefix is still valid (every pushed set is a complete ag(t, t')),
   // matching the serial partial-result contract.
-  const std::vector<uint64_t>& keys = enumerator.keys();
+  const std::vector<uint64_t>& keys = couples.keys;
   const MorselPlan plan(0, keys.size(), num_threads);
   std::vector<std::vector<AttributeSet>> morsel_sets(plan.count);
   std::atomic<bool> stopped{false};

@@ -29,10 +29,11 @@ struct AgreeSetResult {
   size_t couples_examined = 0;
   size_t chunks_processed = 1;
   /// High-water estimate (bytes) of the algorithm's dominant working
-  /// structure — the materialized couple list (Algorithm 2, bounded by
-  /// the chunk threshold) or the couple keys plus ec(t) identifier lists
-  /// (Algorithm 3). The memory counterpart of TANE's
-  /// `peak_partition_bytes`; see EXPERIMENTS.md.
+  /// structures — the class-label table plus the couple keys and their
+  /// radix-sort scratch (Algorithm 2), or the couple keys, sort scratch,
+  /// ec(t) identifier lists and per-couple agree sets (Algorithm 3). The
+  /// memory counterpart of TANE's `peak_partition_bytes`; see
+  /// EXPERIMENTS.md.
   size_t working_bytes = 0;
 
   /// OK for a completed computation. When the governing `RunContext`
@@ -58,25 +59,27 @@ struct AgreeSetOptions {
   /// quantifying the benefit of the paper's MC pruning. Results are
   /// identical (couples are deduplicated); only work changes.
   bool use_maximal_classes = true;
-  /// Pool lanes for couple enumeration, dominance filtering and the
-  /// per-couple agree-set loops. 1 = serial. Results are bit-identical
-  /// for any value: couples are split into deterministic contiguous
-  /// ranges and per-lane accumulators are merged in slot order before
-  /// the final sort/dedup.
+  /// Pool lanes for the label table, the maximal-class test, couple
+  /// enumeration and the per-couple agree-set loops. 1 = serial. Results
+  /// are bit-identical for any value: couples are split into
+  /// deterministic contiguous ranges and per-morsel accumulators are
+  /// merged in slot order before the final sort/dedup.
   size_t num_threads = 1;
   /// Optional resource governance: checked once per chunk (Algorithm 2)
-  /// or every few thousand couples per lane (Algorithm 3); the
-  /// materialized couple list, the class-label table, the ec lists and
-  /// the per-lane accumulation buffers are charged against its memory
-  /// budget.
+  /// or every few thousand couples per lane (Algorithm 3); the working
+  /// structures of `AgreeSetResult::working_bytes` are charged against
+  /// its memory budget.
   RunContext* run_context = nullptr;
 };
 
-/// Maximal equivalence classes MC = Max⊆{c ∈ π̂_A : π̂_A ∈ r̂} (paper §3.1).
-/// Couples of tuples that can have a non-empty agree set live inside these
-/// classes (Lemma 1). Dominance filtering runs as a parallel sort plus
-/// per-class subset checks partitioned over `num_threads` pool lanes
-/// (identical output for any value).
+/// Maximal equivalence classes MC = Max⊆{c ∈ π̂_A : π̂_A ∈ r̂} (paper §3.1),
+/// largest first, then lexicographic. Couples of tuples that can have a
+/// non-empty agree set live inside these classes (Lemma 1). Each class is
+/// tested against the `ClassLabelTable`: it is dominated iff some other
+/// attribute labels all of its tuples alike, with a larger class or an
+/// equal one of a smaller attribute (so equal classes are kept once).
+/// The tests split over `num_threads` pool lanes (identical output for
+/// any value).
 std::vector<EquivalenceClass> MaximalEquivalenceClasses(
     const StrippedPartitionDatabase& db, size_t num_threads = 1);
 
@@ -87,9 +90,11 @@ AgreeSetResult ComputeAgreeSetsNaive(const Relation& relation,
                                      RunContext* ctx = nullptr);
 
 /// Paper Algorithm 2 (AGREE_SET): generate the couples inside maximal
-/// equivalence classes, then scan each stripped partition once, adding
-/// attribute A to ag(t, t') for every couple found together in one of
-/// π̂_A's classes. Processes couples in bounded chunks per
+/// equivalence classes, then add attribute A to ag(t, t') for every
+/// couple found together in one of π̂_A's classes. The scan runs over the
+/// `ClassLabelTable`, one padded row per tuple, so a couple's agree set is
+/// one compare of two rows; each morsel keeps only the distinct sets it
+/// meets. Processes couples in bounded chunks per
 /// `options.max_couples_per_chunk`.
 AgreeSetResult ComputeAgreeSetsCouples(const StrippedPartitionDatabase& db,
                                        const AgreeSetOptions& options = {});

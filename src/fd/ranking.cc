@@ -10,9 +10,7 @@ namespace depminer {
 namespace {
 
 size_t PartitionRedundancy(const StrippedPartition& p) {
-  size_t e = 0;
-  for (const EquivalenceClass& c : p.classes()) e += c.size() - 1;
-  return e;
+  return p.CoveredTuples() - p.num_classes();
 }
 
 /// π̂_X folded directly from the per-attribute partitions (the uncached

@@ -5,9 +5,7 @@ namespace depminer {
 namespace {
 
 size_t ErrorOf(const StrippedPartition& p) {
-  size_t e = 0;
-  for (const EquivalenceClass& c : p.classes()) e += c.size() - 1;
-  return e;
+  return p.CoveredTuples() - p.num_classes();
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,20 @@ namespace depminer {
 /// One equivalence class: the ids of the tuples that share a value
 /// combination, in increasing order.
 using EquivalenceClass = std::vector<TupleId>;
+
+/// A read-only view of one equivalence class, as a `StrippedPartition`
+/// hands out the classes it stores flat. It compares equal to, and
+/// converts to, the `EquivalenceClass` holding the same ids.
+class ClassView : public std::span<const TupleId> {
+ public:
+  using std::span<const TupleId>::span;
+
+  operator EquivalenceClass() const { return EquivalenceClass(begin(), end()); }
+
+  friend bool operator==(ClassView a, const EquivalenceClass& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+};
 
 /// A partition π_X of the tuples of a relation under an attribute set X:
 /// tuples are in the same class iff they agree on all of X (the paper's

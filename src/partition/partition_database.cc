@@ -1,5 +1,7 @@
 #include "partition/partition_database.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/parallel.h"
@@ -40,15 +42,24 @@ ClassLabelTable ClassLabelTable::Build(const StrippedPartitionDatabase& db,
   ClassLabelTable table;
   table.num_tuples_ = db.num_tuples();
   table.num_attributes_ = db.num_attributes();
-  table.labels_.assign(table.num_attributes_ * table.num_tuples_, 0);
+  table.stride_ = std::max<size_t>(1, (table.num_attributes_ + kLabelsPerLine -
+                                       1) / kLabelsPerLine) *
+                  kLabelsPerLine;
+  table.labels_.assign(table.num_tuples_ * table.stride_ + kLabelsPerLine, 0);
+  const size_t misalign =
+      reinterpret_cast<uintptr_t>(table.labels_.data()) %
+      (kLabelsPerLine * sizeof(uint32_t));
+  table.first_ = misalign == 0 ? 0
+                               : (kLabelsPerLine * sizeof(uint32_t) - misalign) /
+                                     sizeof(uint32_t);
 
   // Morselized over (attribute, class-range) units instead of one unit
   // per attribute: a whole-attribute split leaves lanes idle whenever one
   // attribute's partition is much denser than the rest (the correlated
   // benchmark schemas are exactly that shape). Units are cut to roughly
   // equal *membership* counts — the work is one store per membership —
-  // and each unit writes a disjoint set of row cells (classes within a
-  // stripped partition are disjoint, rows are per-attribute), so the
+  // and each unit writes a disjoint set of cells (classes within a
+  // stripped partition are disjoint, columns are per-attribute), so the
   // table is identical for any thread count and scheduling order. The
   // label of class i is always i + 1, independent of the cut points.
   struct Unit {
@@ -59,7 +70,7 @@ ClassLabelTable ClassLabelTable::Build(const StrippedPartitionDatabase& db,
       4096, db.TotalMemberships() / (8 * std::max<size_t>(1, num_threads)));
   std::vector<Unit> units;
   for (AttributeId a = 0; a < db.num_attributes(); ++a) {
-    const std::vector<EquivalenceClass>& classes = db.partition(a).classes();
+    const StrippedPartition::Classes classes = db.partition(a).classes();
     uint32_t lo = 0;
     size_t acc = 0;
     for (uint32_t i = 0; i < classes.size(); ++i) {
@@ -75,15 +86,17 @@ ClassLabelTable ClassLabelTable::Build(const StrippedPartitionDatabase& db,
     }
   }
 
+  uint32_t* const rows = table.labels_.data() + table.first_;
+  const size_t stride = table.stride_;
   ParallelFor(0, units.size(), num_threads, [&](size_t u) {
     const Unit& unit = units[u];
-    uint32_t* row = table.labels_.data() +
-                    static_cast<size_t>(unit.attr) * table.num_tuples_;
-    const std::vector<EquivalenceClass>& classes =
+    const StrippedPartition::Classes classes =
         db.partition(unit.attr).classes();
     for (uint32_t i = unit.class_lo; i < unit.class_hi; ++i) {
       const uint32_t id = i + 1;
-      for (TupleId t : classes[i]) row[t] = id;
+      for (TupleId t : classes[i]) {
+        rows[static_cast<size_t>(t) * stride + unit.attr] = id;
+      }
     }
   });
   return table;
@@ -105,7 +118,7 @@ PartitionCache::~PartitionCache() {
 
 size_t PartitionCache::EntryBytes(const StrippedPartition& partition) {
   return sizeof(StrippedPartition) +
-         partition.num_classes() * sizeof(EquivalenceClass) +
+         (partition.num_classes() + 1) * sizeof(uint32_t) +
          partition.CoveredTuples() * sizeof(TupleId);
 }
 

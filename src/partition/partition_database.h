@@ -53,34 +53,67 @@ class StrippedPartitionDatabase {
   size_t num_tuples_ = 0;
 };
 
-/// Cache-friendly per-attribute class labels over a stripped partition
-/// database: row a stores, for every tuple t, the 1-based id of t's class
-/// within π̂_a (0 for stripped-away singletons). Rows are contiguous, so
-/// the agree-set inner loops scan them sequentially instead of
-/// re-labelling every partition once per couple chunk (Algorithm 2 used
-/// to pay that relabel per chunk). Size is num_attributes × num_tuples
+/// Tuple-major class labels over a stripped partition database: for every
+/// tuple t and attribute a, the 1-based id of t's class within π̂_a (0 for
+/// stripped-away singletons). Each tuple's labels are contiguous and
+/// padded with zeros to whole 64-byte cache lines, so Algorithm 2's
+/// per-couple step — which attributes' classes hold both tuples — costs
+/// two row loads and one compare (`Agree`), and Lemma 1's maximal-class
+/// test screens every attribute at once. Size is num_tuples × stride()
 /// uint32s; `bytes()` is what memory budgets should be charged.
 class ClassLabelTable {
  public:
+  /// Labels per 64-byte cache line; rows are padded to a multiple of it.
+  static constexpr size_t kLabelsPerLine = 16;
+
   ClassLabelTable() = default;
 
-  /// Labels every partition of `db`, one row per attribute, on up to
-  /// `num_threads` pool lanes (rows are independent; identical output
-  /// for any thread count).
+  /// Labels every partition of `db` on up to `num_threads` pool lanes
+  /// (identical output for any thread count).
   static ClassLabelTable Build(const StrippedPartitionDatabase& db,
                                size_t num_threads = 1);
 
-  /// Row of per-tuple labels for attribute `a` (num_tuples entries).
-  const uint32_t* Row(AttributeId a) const {
-    return labels_.data() + static_cast<size_t>(a) * num_tuples_;
+  /// Tuple `t`'s labels, indexed by attribute (stride() entries).
+  const uint32_t* Labels(TupleId t) const {
+    return labels_.data() + first_ + static_cast<size_t>(t) * stride_;
+  }
+  uint32_t Label(TupleId t, AttributeId a) const { return Labels(t)[a]; }
+
+  /// The attributes on which tuples `t` and `u` share a stripped class —
+  /// their agree set ag(t, u), since equal values of a non-singleton
+  /// class are exactly equal labels ≠ 0. Written so the default build
+  /// auto-vectorizes the compare: one byte per attribute, then eight
+  /// bytes fold into eight bits with one multiply.
+  AttributeSet Agree(TupleId t, TupleId u) const {
+    const uint32_t* x = Labels(t);
+    const uint32_t* y = Labels(u);
+    uint8_t match[AttributeSet::kMaxAttributes];
+    for (size_t i = 0; i < stride_; ++i) {
+      match[i] = static_cast<uint8_t>((x[i] == y[i]) & (x[i] != 0));
+    }
+    uint64_t words[AttributeSet::kWords] = {0, 0};
+    for (size_t i = 0; i < stride_; i += 8) {
+      uint64_t bytes = 0;
+      for (size_t k = 0; k < 8; ++k) {
+        bytes |= static_cast<uint64_t>(match[i + k]) << (8 * k);
+      }
+      // Bit 0 of byte k lands on bit 56 + k; no two partial products meet.
+      words[i / 64] |= ((bytes * 0x0102040810204080ull) >> 56) << (i % 64);
+    }
+    return AttributeSet::FromWords(words[0], words[1]);
   }
 
   size_t num_tuples() const { return num_tuples_; }
   size_t num_attributes() const { return num_attributes_; }
+  /// Labels per tuple row: num_attributes() rounded up to whole lines.
+  size_t stride() const { return stride_; }
   size_t bytes() const { return labels_.size() * sizeof(uint32_t); }
 
  private:
+  /// Row storage; rows start at `first_`, the first cache-line boundary.
   std::vector<uint32_t> labels_;
+  size_t first_ = 0;
+  size_t stride_ = kLabelsPerLine;
   size_t num_tuples_ = 0;
   size_t num_attributes_ = 0;
 };

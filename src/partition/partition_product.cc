@@ -14,7 +14,7 @@ StrippedPartition PartitionProductWorkspace::Product(
 
   // Pass 1: label every tuple of a non-singleton lhs class with its class
   // index (+1).
-  const auto& lhs_classes = lhs.classes();
+  const StrippedPartition::Classes lhs_classes = lhs.classes();
   if (scratch_.size() < lhs_classes.size()) {
     scratch_.resize(lhs_classes.size());
   }
@@ -28,7 +28,7 @@ StrippedPartition PartitionProductWorkspace::Product(
   // label belong to a common product class.
   std::vector<EquivalenceClass> result;
   std::vector<uint32_t> touched;
-  for (const EquivalenceClass& rc : rhs.classes()) {
+  for (const ClassView rc : rhs.classes()) {
     touched.clear();
     for (TupleId t : rc) {
       const uint32_t label = class_of_[t];
@@ -47,7 +47,7 @@ StrippedPartition PartitionProductWorkspace::Product(
   }
 
   // Reset labels for the next call.
-  for (const EquivalenceClass& c : lhs_classes) {
+  for (const ClassView c : lhs_classes) {
     for (TupleId t : c) class_of_[t] = 0;
   }
 

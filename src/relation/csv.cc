@@ -1,8 +1,10 @@
 #include "relation/csv.h"
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
-#include <memory>
-#include <sstream>
+#include <istream>
+#include <optional>
 
 #include "common/file_reader.h"
 #include "common/progress.h"
@@ -12,109 +14,37 @@ namespace depminer {
 
 namespace {
 
-/// Splits one logical CSV record that is already known to be complete
-/// (quotes balanced) into fields.
-std::vector<std::string> SplitRecord(const std::string& line,
-                                     const CsvOptions& options) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (options.allow_quoting && c == '"' && field.empty()) {
-      in_quotes = true;
-    } else if (c == options.delimiter) {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else {
-      field += c;
-    }
-  }
-  fields.push_back(std::move(field));
-  return fields;
-}
+/// Bytes a block source is asked for per read.
+constexpr size_t kBlockSize = 64 * 1024;
 
-enum class ReadOutcome { kRecord, kEndOfInput, kMalformed };
-
-/// Reads one logical record (handles newlines inside quoted fields).
-/// kMalformed covers input no well-formed CSV contains: a quoted field
-/// still open at end of input, or a NUL byte (text CSV never carries NUL;
-/// one almost always means a binary file was passed by mistake, and NULs
-/// silently truncate C-string comparisons downstream).
-ReadOutcome ReadRecord(std::istream& in, const CsvOptions& options,
-                       std::string* record, Status* error) {
-  record->clear();
-  std::string line;
-  bool got_any = false;
-  while (std::getline(in, line)) {
-    got_any = true;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find('\0') != std::string::npos) {
-      *error = Status::InvalidArgument("embedded NUL byte in CSV input");
-      return ReadOutcome::kMalformed;
-    }
-    if (!record->empty()) *record += '\n';
-    *record += line;
-    if (!options.allow_quoting) return ReadOutcome::kRecord;
-    // A record is complete when it contains an even number of quotes.
-    size_t quotes = 0;
-    for (char c : *record) {
-      if (c == '"') ++quotes;
-    }
-    if (quotes % 2 == 0) return ReadOutcome::kRecord;
-  }
-  if (got_any) {
-    // Only reachable with quoting enabled and an odd quote count: the
-    // stream ended inside a quoted field.
-    *error = Status::InvalidArgument(
-        "unterminated quoted field at end of input");
-    return ReadOutcome::kMalformed;
-  }
-  return ReadOutcome::kEndOfInput;
-}
-
-Result<Relation> ParseStream(std::istream& in, const CsvOptions& options,
-                             const std::string& origin) {
-  CsvRecordReader reader(in, options);
+Result<Relation> ParseRelation(CsvRecordReader& reader,
+                               const CsvOptions& options,
+                               const std::string& origin) {
   size_t record_no = 0;
   DEPMINER_PROGRESS_PHASE("load", "rows", 0);
 
-  Schema schema;
-  std::unique_ptr<RelationBuilder> builder;
-
-  std::vector<std::string> fields;
+  std::optional<RelationBuilder> builder;
+  size_t arity = 0;
+  std::vector<std::string_view> fields;
   while (reader.Next(&fields)) {
     ++record_no;
     // Batched tick: once per 4096 records, not per row.
     if (record_no % 4096 == 0) DEPMINER_PROGRESS_TICK(4096);
     if (!builder) {
-      if (options.has_header) {
-        schema = Schema(std::move(fields));
-      } else {
-        schema = Schema::Default(fields.size());
-      }
-      builder = std::make_unique<RelationBuilder>(schema);
+      arity = fields.size();
+      builder.emplace(options.has_header
+                          ? Schema(std::vector<std::string>(fields.begin(),
+                                                            fields.end()))
+                          : Schema::Default(arity));
       if (options.nulls_distinct) builder->TreatAsNull(options.null_token);
       if (options.has_header) continue;
     }
-    if (fields.size() != schema.num_attributes()) {
+    if (fields.size() != arity) {
       return Status::IoError(origin + ": record " + std::to_string(record_no) +
                              " has " + std::to_string(fields.size()) +
-                             " fields, expected " +
-                             std::to_string(schema.num_attributes()));
+                             " fields, expected " + std::to_string(arity));
     }
-    DEPMINER_RETURN_NOT_OK(builder->AddRow(fields));
+    DEPMINER_RETURN_NOT_OK(builder->AddRow(fields.data(), fields.size()));
   }
   if (!reader.status().ok()) {
     return Status::InvalidArgument(origin + ": " + reader.status().message());
@@ -151,28 +81,235 @@ void AppendField(const std::string& value, const CsvOptions& options,
 
 }  // namespace
 
-bool CsvRecordReader::Next(std::vector<std::string>* fields) {
-  if (!status_.ok()) return false;
+Status ValidateCsvOptions(const CsvOptions& options) {
+  const char d = options.delimiter;
+  if (d == '\n' || d == '\r' || d == '\0') {
+    return Status::InvalidArgument(
+        "CSV delimiter may not be CR, LF or NUL");
+  }
+  if (d == '"' && options.allow_quoting) {
+    return Status::InvalidArgument(
+        "CSV delimiter may not be '\"' while quoting is on");
+  }
+  return Status::OK();
+}
+
+Status SetCsvDelimiter(std::string_view arg, CsvOptions* options) {
+  if (arg.size() != 1) {
+    return Status::InvalidArgument(
+        "CSV delimiter must be exactly one byte, got " +
+        std::to_string(arg.size()));
+  }
+  CsvOptions candidate = *options;
+  candidate.delimiter = arg[0];
+  DEPMINER_RETURN_NOT_OK(ValidateCsvOptions(candidate));
+  options->delimiter = arg[0];
+  return Status::OK();
+}
+
+CsvRecordReader::CsvRecordReader(std::string_view text,
+                                 const CsvOptions& options)
+    : options_(options),
+      data_(text.data()),
+      end_(text.size()),
+      eof_(true),
+      status_(ValidateCsvOptions(options)) {}
+
+CsvRecordReader::CsvRecordReader(RetryingFileStream& in,
+                                 const CsvOptions& options)
+    : options_(options),
+      read_([&in](char* dst, size_t n) { return in.ReadBlock(dst, n); }),
+      status_(ValidateCsvOptions(options)) {}
+
+CsvRecordReader::CsvRecordReader(std::istream& in, const CsvOptions& options)
+    : options_(options),
+      read_([&in](char* dst, size_t n) -> size_t {
+        std::streambuf* buf = in.rdbuf();
+        const std::streamsize got =
+            buf == nullptr ? 0
+                           : buf->sgetn(dst, static_cast<std::streamsize>(n));
+        return got > 0 ? static_cast<size_t>(got) : 0;
+      }),
+      status_(ValidateCsvOptions(options)) {}
+
+bool CsvRecordReader::Refill() {
+  if (eof_) return false;
+  // The window keeps only the unfinished record; offsets within it are
+  // record-relative, so moving it to the front invalidates nothing.
+  if (pos_ > 0) {
+    std::memmove(buffer_.data(), buffer_.data() + pos_, end_ - pos_);
+    end_ -= pos_;
+    pos_ = 0;
+  }
+  if (buffer_.size() < end_ + kBlockSize) buffer_.resize(end_ + kBlockSize);
+  const size_t got = read_(buffer_.data() + end_, kBlockSize);
+  data_ = buffer_.data();
+  if (got == 0) {
+    eof_ = true;
+    return false;
+  }
+  end_ += got;
+  return true;
+}
+
+bool CsvRecordReader::FillTo(size_t i) {
+  while (pos_ + i >= end_) {
+    if (!Refill()) return false;
+  }
+  return true;
+}
+
+size_t CsvRecordReader::ScanUnquoted(size_t i, bool* at_line_end) {
+  if (line_end_known_ && line_end_ < i) {
+    // A quoted field ran past the cached LF; look for the next one.
+    line_end_known_ = false;
+    line_end_ = i;
+  }
   for (;;) {
-    Status error;
-    switch (ReadRecord(in_, options_, &record_, &error)) {
-      case ReadOutcome::kMalformed:
-        status_ = std::move(error);
-        return false;
-      case ReadOutcome::kEndOfInput:
-        return false;
-      case ReadOutcome::kRecord:
-        break;
+    const char* rec = RecordData();
+    const size_t avail = end_ - pos_;
+    if (!line_end_known_) {
+      // One LF search per line; [i, line_end_) is known LF-free.
+      const size_t from = std::max(i, line_end_);
+      const void* lf = std::memchr(rec + from, '\n', avail - from);
+      line_end_known_ = lf != nullptr;
+      line_end_ = lf != nullptr ? static_cast<const char*>(lf) - rec : avail;
     }
+    const size_t limit = line_end_known_ ? line_end_ : avail;
+    const void* d = std::memchr(rec + i, options_.delimiter, limit - i);
+    if (d != nullptr) {
+      *at_line_end = false;
+      return static_cast<size_t>(static_cast<const char*>(d) - rec);
+    }
+    *at_line_end = true;
+    if (line_end_known_) return line_end_;
+    i = avail;
+    if (!Refill()) return i;  // the record ends with the input
+  }
+}
+
+void CsvRecordReader::AppendQuoted(const char* p, size_t n) {
+  while (n > 0) {
+    const void* lf = std::memchr(p, '\n', n);
+    if (lf == nullptr) {
+      scratch_.append(p, n);
+      return;
+    }
+    const size_t len = static_cast<size_t>(static_cast<const char*>(lf) - p);
+    scratch_.append(p, len > 0 && p[len - 1] == '\r' ? len - 1 : len);
+    scratch_ += '\n';
+    p += len + 1;
+    n -= len + 1;
+  }
+}
+
+bool CsvRecordReader::ScanQuoted(size_t* i) {
+  size_t j = *i + 1;
+  for (;;) {
+    const char* rec = RecordData();
+    const size_t avail = end_ - pos_;
+    const void* q = std::memchr(rec + j, '"', avail - j);
+    if (q == nullptr) {
+      // Hold back a final CR: its LF may open the next block.
+      size_t n = avail - j;
+      if (n > 0 && rec[avail - 1] == '\r') --n;
+      AppendQuoted(rec + j, n);
+      j += n;
+      if (!Refill()) return false;
+      continue;
+    }
+    const size_t quote = static_cast<size_t>(static_cast<const char*>(q) - rec);
+    AppendQuoted(rec + j, quote - j);
+    if (Have(quote + 1) && RecordData()[quote + 1] == '"') {
+      scratch_ += '"';  // "" is an escaped quote
+      j = quote + 2;
+      continue;
+    }
+    *i = quote + 1;
+    return true;
+  }
+}
+
+bool CsvRecordReader::Tokenize(RecordEnd* end) {
+  spans_.clear();
+  scratch_.clear();
+  line_end_ = 0;
+  line_end_known_ = false;
+  if (!Have(0)) return false;  // end of input
+  size_t i = 0;
+  for (;;) {  // one field per pass
+    bool at_line_end = false;
+    size_t stop;
+    if (options_.allow_quoting && Have(i) && RecordData()[i] == '"') {
+      // A quote opens quoting only here, at the start of a field. After
+      // the closing quote the field continues unquoted (usually empty).
+      const size_t begin = scratch_.size();
+      if (!ScanQuoted(&i)) {
+        const size_t avail = end_ - pos_;
+        status_ = std::memchr(RecordData(), '\0', avail) != nullptr
+                      ? Status::InvalidArgument(
+                            "embedded NUL byte in CSV input")
+                      : Status::InvalidArgument(
+                            "unterminated quoted field at end of input");
+        return false;
+      }
+      stop = ScanUnquoted(i, &at_line_end);
+      size_t tail = stop - i;
+      if (at_line_end && tail > 0 && RecordData()[stop - 1] == '\r') --tail;
+      scratch_.append(RecordData() + i, tail);
+      spans_.push_back({begin, scratch_.size() - begin, true});
+    } else {
+      stop = ScanUnquoted(i, &at_line_end);
+      size_t size = stop - i;
+      // The CR of a CRLF (or of a final CR) is not part of the value.
+      if (at_line_end && size > 0 && RecordData()[stop - 1] == '\r') --size;
+      spans_.push_back({i, size, false});
+    }
+    if (!at_line_end) {
+      i = stop + 1;
+      continue;
+    }
+    // Text CSV never carries NUL; one almost always means a binary file
+    // was passed by mistake, and NULs silently truncate C-string
+    // comparisons downstream.
+    if (std::memchr(RecordData(), '\0', stop) != nullptr) {
+      status_ = Status::InvalidArgument("embedded NUL byte in CSV input");
+      return false;
+    }
+    end->at_eof = pos_ + stop >= end_;
+    end->blank = spans_.size() == 1 && !spans_[0].in_scratch &&
+                 spans_[0].size == 0;
+    record_base_ = RecordData();
+    pos_ += end->at_eof ? stop : stop + 1;
+    return true;
+  }
+}
+
+bool CsvRecordReader::Next(std::vector<std::string_view>* fields) {
+  if (!status_.ok()) return false;
+  RecordEnd end;
+  for (;;) {
+    if (!Tokenize(&end)) return false;
     // Blank records before the first real one are skipped (a file of only
     // (CR)LFs is empty input, not a sequence of one-empty-field records);
     // a blank record at the very end is the file's trailing newline.
-    if (record_.empty() && records_read_ == 0) continue;
-    if (record_.empty() && in_.eof()) return false;
-    break;
+    if (!end.blank) break;
+    if (end.at_eof) return false;
+    if (records_read_ > 0) break;
   }
-  *fields = SplitRecord(record_, options_);
+  fields->resize(spans_.size());
+  for (size_t k = 0; k < spans_.size(); ++k) {
+    const FieldSpan& span = spans_[k];
+    const char* base = span.in_scratch ? scratch_.data() : record_base_;
+    (*fields)[k] = std::string_view(base + span.offset, span.size);
+  }
   ++records_read_;
+  return true;
+}
+
+bool CsvRecordReader::Next(std::vector<std::string>* fields) {
+  if (!Next(&views_)) return false;
+  fields->assign(views_.begin(), views_.end());
   return true;
 }
 
@@ -180,18 +317,19 @@ Result<Relation> ReadCsvRelation(const std::string& path,
                                  const CsvOptions& options) {
   RetryingFileStream in(path);
   if (!in.is_open()) return in.status();
-  Result<Relation> result = ParseStream(in, options, path);
-  // A read error mid-file looks like EOF to the parser and would surface
-  // as a silently truncated relation; the stream's sticky status is the
-  // only witness, so it outranks the parse outcome.
+  CsvRecordReader reader(in, options);
+  Result<Relation> result = ParseRelation(reader, options, path);
+  // A read error mid-file looks like EOF to the tokenizer and would
+  // surface as a silently truncated relation; the stream's sticky status
+  // is the only witness, so it outranks the parse outcome.
   if (!in.status().ok()) return in.status();
   return result;
 }
 
 Result<Relation> ParseCsvRelation(const std::string& content,
                                   const CsvOptions& options) {
-  std::istringstream in(content);
-  return ParseStream(in, options, "<string>");
+  CsvRecordReader reader(std::string_view(content), options);
+  return ParseRelation(reader, options, "<string>");
 }
 
 std::string CsvToString(const Relation& relation, const CsvOptions& options) {

@@ -1,13 +1,17 @@
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "relation/relation.h"
 
 namespace depminer {
+
+class RetryingFileStream;
 
 /// Options for `ReadCsvRelation`.
 struct CsvOptions {
@@ -27,23 +31,55 @@ struct CsvOptions {
   std::string null_token;
 };
 
-/// Incremental CSV record reader: handles RFC 4180 quoting (including
-/// embedded delimiters, escaped quotes and newlines inside quoted
-/// fields), CRLF endings and custom delimiters. Shared by the relation
-/// loader and the streaming partition extractor.
+/// Checks that `options` tokenize unambiguously. The delimiter may not
+/// be CR, LF or NUL (they end lines or mark binary input), nor `"` while
+/// quoting is on. Every reader below runs this check before it reads a
+/// byte, so a bad delimiter is an InvalidArgument, never a misparse.
+Status ValidateCsvOptions(const CsvOptions& options);
+
+/// Sets `options->delimiter` from a user-supplied argument (a command-line
+/// flag, a request parameter). The argument must be exactly one byte and
+/// pass ValidateCsvOptions; anything else is InvalidArgument.
+Status SetCsvDelimiter(std::string_view arg, CsvOptions* options);
+
+/// Incremental CSV record reader: one single-pass tokenizer shared by the
+/// relation loader and the streaming partition extractor. It reads input
+/// in 64 KiB blocks (or tokenizes in-memory text in place), finds
+/// delimiters, newlines and quotes with `memchr` scans, and yields fields
+/// as views into the block; only quoted content is copied, unescaped, to
+/// a reused scratch buffer.
 ///
-/// Malformed input — an unterminated quoted field at end of input, or an
-/// embedded NUL byte — stops iteration with a sticky non-OK `status()`;
+/// Quoting (RFC 4180 style, as Python's `csv` module reads it): a `"`
+/// opens a quoted field only at the start of a field; inside one, `""` is
+/// a literal quote and a lone `"` closes it, after which the field
+/// continues unquoted up to the next delimiter. Quoted fields may hold
+/// delimiters and newlines. A `"` anywhere else is an ordinary byte.
+/// A CR right before a LF (or before end of input) is dropped on every
+/// physical line, quoted or not.
+///
+/// Malformed input — a quoted field still open at end of input, or a NUL
+/// byte in a record — stops iteration with a sticky non-OK `status()`;
 /// callers must distinguish "end of input" (`status().ok()`) from "bad
 /// input" after `Next` returns false. Blank records before the first real
-/// record are skipped, so a file of only (CR)LFs reads as empty input.
+/// record are skipped, so a file of only (CR)LFs reads as empty input; a
+/// trailing newline does not start a record.
 class CsvRecordReader {
  public:
-  CsvRecordReader(std::istream& in, const CsvOptions& options)
-      : in_(in), options_(options) {}
+  /// Tokenizes `text` in place; it must outlive the reader.
+  CsvRecordReader(std::string_view text, const CsvOptions& options);
+  /// Reads a file block by block; short reads pass through unchanged.
+  CsvRecordReader(RetryingFileStream& in, const CsvOptions& options);
+  /// Reads any stream block by block.
+  CsvRecordReader(std::istream& in, const CsvOptions& options);
+
+  CsvRecordReader(const CsvRecordReader&) = delete;
+  CsvRecordReader& operator=(const CsvRecordReader&) = delete;
 
   /// Reads the next record into `fields`; returns false at end of input
-  /// or on malformed input (then `status()` is non-OK).
+  /// or on malformed input (then `status()` is non-OK). The views stay
+  /// valid until the next call.
+  bool Next(std::vector<std::string_view>* fields);
+  /// Same, copying each field.
   bool Next(std::vector<std::string>* fields);
 
   /// OK until malformed input is hit, then the (sticky) parse error.
@@ -52,9 +88,57 @@ class CsvRecordReader {
   size_t records_read() const { return records_read_; }
 
  private:
-  std::istream& in_;
+  /// Where one field's bytes live: relative to the record start in the
+  /// input window, or in `scratch_`.
+  struct FieldSpan {
+    size_t offset;
+    size_t size;
+    bool in_scratch;
+  };
+  /// How a tokenized record ended.
+  struct RecordEnd {
+    bool blank = false;   ///< no bytes besides a dropped CR
+    bool at_eof = false;  ///< ended by end of input, not by a LF
+  };
+
+  /// Tokenizes the record at `pos_` into `spans_`; false at end of input
+  /// or on malformed input (then `status_` says which).
+  bool Tokenize(RecordEnd* end);
+  /// Scans an unquoted run from record offset `i` to the next delimiter,
+  /// LF or end of input; returns the stop offset and sets `*at_line_end`
+  /// unless a delimiter stopped it.
+  size_t ScanUnquoted(size_t i, bool* at_line_end);
+  /// Copies the quoted section opening at record offset `*i` into
+  /// `scratch_`, unescaped, and moves `*i` past its closing quote; false
+  /// when the input ends inside it.
+  bool ScanQuoted(size_t* i);
+  /// Appends quoted content to `scratch_`, dropping each CR before a LF.
+  void AppendQuoted(const char* p, size_t n);
+  /// True once record byte `i` is in the window (reading more if needed).
+  bool Have(size_t i) { return pos_ + i < end_ || FillTo(i); }
+  bool FillTo(size_t i);
+  /// Appends one block to the window, first dropping consumed records.
+  bool Refill();
+  const char* RecordData() const { return data_ + pos_; }
+
   const CsvOptions options_;
-  std::string record_;
+  /// Block source; empty for in-memory text.
+  std::function<size_t(char*, size_t)> read_;
+  std::vector<char> buffer_;  ///< owned window storage (block sources)
+  const char* data_ = nullptr;
+  size_t end_ = 0;  ///< bytes in the window
+  size_t pos_ = 0;  ///< start of the current record in the window
+  bool eof_ = false;
+  /// ScanUnquoted's cache of the current line's end: the record offset
+  /// of the next LF when `line_end_known_`, else the offset up to which
+  /// the record holds no LF.
+  size_t line_end_ = 0;
+  bool line_end_known_ = false;
+  std::vector<FieldSpan> spans_;
+  std::string scratch_;
+  /// The last tokenized record's first byte (valid until the next call).
+  const char* record_base_ = nullptr;
+  std::vector<std::string_view> views_;  ///< for the copying Next
   Status status_;
   size_t records_read_ = 0;
 };
@@ -67,7 +151,7 @@ class CsvRecordReader {
 Result<Relation> ReadCsvRelation(const std::string& path,
                                  const CsvOptions& options = {});
 
-/// Parses CSV from an already-loaded string (used by tests).
+/// Parses CSV from an already-loaded string, tokenizing it in place.
 Result<Relation> ParseCsvRelation(const std::string& content,
                                   const CsvOptions& options = {});
 

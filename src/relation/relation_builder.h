@@ -1,7 +1,7 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -10,7 +10,9 @@
 namespace depminer {
 
 /// Incrementally builds a `Relation`, dictionary-encoding values row by
-/// row. Usage:
+/// row. Each column's dictionary stores every distinct value once, behind
+/// an open-addressing index of codes; codes are assigned in
+/// first-occurrence order. Usage:
 ///
 ///   RelationBuilder b(Schema::Default(3));
 ///   b.AddRow({"1", "x", "y"});
@@ -29,6 +31,8 @@ class RelationBuilder {
 
   /// Appends one tuple; `values.size()` must equal the attribute count.
   Status AddRow(const std::vector<std::string>& values);
+  /// Same, from `count` views (the CSV tokenizer's fields).
+  Status AddRow(const std::string_view* values, size_t count);
 
   /// Appends one tuple of pre-encoded codes; the builder assigns each
   /// distinct code a synthetic string value ("v<code>"). Used by the
@@ -41,13 +45,30 @@ class RelationBuilder {
   Result<Relation> Finish() &&;
 
  private:
+  /// Open-addressing index from one column's values to their codes.
+  /// Each slot packs (hash tag << 32 | code + 1); 0 marks a vacant slot.
+  struct ValueIndex {
+    std::vector<uint64_t> slots;
+    size_t used = 0;
+  };
+
+  Status CheckArity(size_t count) const;
+  /// The code of `value` in column `a`, added to the dictionary if new;
+  /// `tag` is the high half of the value's hash.
+  ValueCode Encode(size_t a, std::string_view value, uint64_t tag);
+
   Schema schema_;
   size_t num_rows_ = 0;
   bool has_null_token_ = false;
   std::string null_token_;
   std::vector<std::vector<ValueCode>> columns_;
   std::vector<std::vector<std::string>> dictionaries_;
-  std::vector<std::unordered_map<std::string, ValueCode>> code_of_;
+  std::vector<ValueIndex> index_;
+  /// Per-row scratch: the values' hash tags, and views of a string row.
+  std::vector<uint64_t> tags_;
+  std::vector<std::string_view> row_;
+  /// Set by AddCodedRow, whose codes Finish must densify.
+  bool coded_rows_ = false;
 };
 
 /// Convenience: builds a relation from rows of strings with the given

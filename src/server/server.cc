@@ -383,8 +383,9 @@ std::string Server::DoPut(const Request& request) {
   const std::string& name = request.positional[0];
   CsvOptions csv;
   csv.has_header = ParamOr(request, "header", "1") != "0";
-  const std::string delimiter = ParamOr(request, "delimiter", ",");
-  if (!delimiter.empty()) csv.delimiter = delimiter[0];
+  const Status delimiter =
+      SetCsvDelimiter(ParamOr(request, "delimiter", ","), &csv);
+  if (!delimiter.ok()) return FormatError(delimiter);
   Result<Relation> relation = ParseCsvRelation(request.body, csv);
   if (!relation.ok()) return FormatError(relation.status());
   std::unique_lock<std::shared_mutex> lock(catalog_mu_);

@@ -105,7 +105,7 @@ Status JobCheckpoint::Save(const std::string& path) const {
     case MinePhase::kStrip: {
       for (const StrippedPartition& part : partitions.partitions()) {
         PutU64(out, part.num_classes());
-        for (const EquivalenceClass& ec : part.classes()) {
+        for (const ClassView ec : part.classes()) {
           PutU64(out, ec.size());
           for (TupleId t : ec) PutU32(out, t);
         }

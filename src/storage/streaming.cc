@@ -1,6 +1,5 @@
 #include "storage/streaming.h"
 
-#include <sstream>
 #include <unordered_map>
 
 #include "common/file_reader.h"
@@ -12,10 +11,9 @@ namespace depminer {
 
 namespace {
 
-Result<StreamingExtract> ExtractFromStream(std::istream& in,
-                                           const StreamingOptions& options,
-                                           const std::string& origin) {
-  CsvRecordReader reader(in, options.csv);
+Result<StreamingExtract> ExtractFromRecords(CsvRecordReader& reader,
+                                            const StreamingOptions& options,
+                                            const std::string& origin) {
   RunContext* ctx = options.run_context;
   ScopedMemoryCharge memory(ctx);
 
@@ -132,7 +130,8 @@ Result<StreamingExtract> ExtractFromCsv(const std::string& path,
                                         const StreamingOptions& options) {
   RetryingFileStream in(path);
   if (!in.is_open()) return in.status();
-  Result<StreamingExtract> result = ExtractFromStream(in, options, path);
+  CsvRecordReader reader(in, options.csv);
+  Result<StreamingExtract> result = ExtractFromRecords(reader, options, path);
   // A mid-file read error is EOF to the record reader; without this check
   // the extraction would silently cover a truncated prefix of the data.
   if (!in.status().ok()) return in.status();
@@ -141,8 +140,8 @@ Result<StreamingExtract> ExtractFromCsv(const std::string& path,
 
 Result<StreamingExtract> ExtractFromCsvText(const std::string& content,
                                             const StreamingOptions& options) {
-  std::istringstream in(content);
-  return ExtractFromStream(in, options, "<string>");
+  CsvRecordReader reader(std::string_view(content), options.csv);
+  return ExtractFromRecords(reader, options, "<string>");
 }
 
 Result<StreamingMineResult> MineCsvStreaming(const std::string& path,

@@ -37,9 +37,7 @@ struct Node {
 };
 
 size_t PartitionError(const StrippedPartition& p) {
-  size_t e = 0;
-  for (const EquivalenceClass& c : p.classes()) e += c.size() - 1;
-  return e;
+  return p.CoveredTuples() - p.num_classes();
 }
 
 class TaneRun {
@@ -162,12 +160,12 @@ class TaneRun {
   /// class keep its largest refined subclass (or a singleton).
   double G3(const StrippedPartition& lhs, const StrippedPartition& refined) {
     if (p_ == 0) return 0.0;
-    const auto& lhs_classes = lhs.classes();
+    const StrippedPartition::Classes lhs_classes = lhs.classes();
     for (uint32_t i = 0; i < lhs_classes.size(); ++i) {
       for (TupleId t : lhs_classes[i]) owner_of_[t] = i;
     }
     std::vector<size_t> biggest(lhs_classes.size(), 1);
-    for (const EquivalenceClass& c : refined.classes()) {
+    for (const ClassView c : refined.classes()) {
       const uint32_t owner = owner_of_[c.front()];
       if (owner != UINT32_MAX) {
         biggest[owner] = std::max(biggest[owner], c.size());
@@ -177,7 +175,7 @@ class TaneRun {
     for (uint32_t i = 0; i < lhs_classes.size(); ++i) {
       removed += lhs_classes[i].size() - biggest[i];
     }
-    for (const EquivalenceClass& c : lhs_classes) {
+    for (const ClassView c : lhs_classes) {
       for (TupleId t : c) owner_of_[t] = UINT32_MAX;
     }
     return static_cast<double>(removed) / static_cast<double>(p_);
@@ -191,7 +189,7 @@ class TaneRun {
     }
     // g₃(∅ → A): keep the most frequent A-value.
     size_t biggest = p_ == 0 ? 0 : 1;
-    for (const EquivalenceClass& c : node.partition->classes()) {
+    for (const ClassView c : node.partition->classes()) {
       biggest = std::max(biggest, c.size());
     }
     const size_t removed = p_ - biggest;

@@ -6,6 +6,7 @@
 
 #include "relation/relation_builder.h"
 #include "test_util.h"
+#include "verify/generator.h"
 
 namespace depminer {
 namespace {
@@ -276,6 +277,74 @@ TEST(MaximalEquivalenceClasses, ThreadCountInvariance) {
     EXPECT_EQ(MaximalEquivalenceClasses(db, threads), serial)
         << threads << " threads";
   }
+}
+
+/// Max⊆ over every stripped class by brute force: a class is kept unless
+/// another one strictly contains it, and equal classes are kept once.
+std::vector<EquivalenceClass> BruteForceMaximalClasses(
+    const StrippedPartitionDatabase& db) {
+  std::vector<EquivalenceClass> all;
+  for (const StrippedPartition& p : db.partitions()) {
+    all.insert(all.end(), p.classes().begin(), p.classes().end());
+  }
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  std::vector<EquivalenceClass> kept;
+  for (const EquivalenceClass& c : all) {
+    bool dominated = false;
+    for (const EquivalenceClass& other : all) {
+      if (other.size() > c.size() &&
+          std::includes(other.begin(), other.end(), c.begin(), c.end())) {
+        dominated = true;
+        break;
+      }
+    }
+    if (!dominated) kept.push_back(c);
+  }
+  return kept;
+}
+
+// The label-table MC against the definition, on the verification
+// generator's adversarial shapes: constant columns, duplicate rows and
+// planted FDs give identical classes across attributes (equal-size
+// containment), whose one surviving copy must not depend on lanes.
+TEST(MaximalEquivalenceClasses, MatchesBruteForceOnAdversarialRelations) {
+  size_t checked = 0, with_identical_classes = 0;
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    Result<GeneratedCase> generated = GenerateAdversarialCase(seed);
+    ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+    const StrippedPartitionDatabase db = Db(generated.value().relation);
+    size_t classes = 0;
+    for (const StrippedPartition& p : db.partitions()) {
+      classes += p.num_classes();
+    }
+    if (classes > 3000) continue;  // keeps the quadratic oracle cheap
+    ++checked;
+    const std::vector<EquivalenceClass> expected = BruteForceMaximalClasses(db);
+    std::vector<EquivalenceClass> distinct;
+    for (const StrippedPartition& p : db.partitions()) {
+      distinct.insert(distinct.end(), p.classes().begin(), p.classes().end());
+    }
+    std::sort(distinct.begin(), distinct.end());
+    if (std::adjacent_find(distinct.begin(), distinct.end()) !=
+        distinct.end()) {
+      ++with_identical_classes;
+    }
+    for (size_t threads : {1u, 2u, 8u}) {
+      std::vector<EquivalenceClass> got = MaximalEquivalenceClasses(db, threads);
+      // Largest first, then lexicographic.
+      for (size_t i = 1; i < got.size(); ++i) {
+        ASSERT_TRUE(got[i - 1].size() > got[i].size() ||
+                    (got[i - 1].size() == got[i].size() && got[i - 1] < got[i]))
+            << "seed " << seed;
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << "seed " << seed << " (" << generated.value().label
+                               << "), " << threads << " threads";
+    }
+  }
+  EXPECT_GT(checked, 32u);
+  EXPECT_GT(with_identical_classes, 4u);
 }
 
 TEST(AgreeSetResult, AllPrependsEmptySet) {

@@ -225,6 +225,14 @@ add_test(NAME cli.fuzz_bad_seed COMMAND fdtool fuzz --iterations=5
          --seed=ten)
 set_tests_properties(cli.fuzz_bad_seed PROPERTIES WILL_FAIL TRUE)
 
+# The CSV delimiter is validated once, in the CSV layer: an ambiguous one
+# is a usage error on every command.
+add_test(NAME cli.delimiter
+    COMMAND ${CMAKE_COMMAND}
+        -DFDTOOL=$<TARGET_FILE:fdtool>
+        -DWORK=${CMAKE_CURRENT_BINARY_DIR}
+        -P ${CMAKE_CURRENT_SOURCE_DIR}/cli_delimiter_test.cmake)
+
 add_test(NAME cli.catalog
     COMMAND ${CMAKE_COMMAND}
         -DFDTOOL=$<TARGET_FILE:fdtool>

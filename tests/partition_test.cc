@@ -164,6 +164,45 @@ TEST_P(PartitionProductSweep, TripleProductsMatchForSet) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionProductSweep,
                          ::testing::Range<uint64_t>(0, 12));
 
+// The counting-sort strip numbers classes by first tuple, so it must not
+// lean on codes being in first-occurrence order: ReadColumnFile and the
+// Relation constructor accept any dense code assignment.
+TEST(StrippedPartition, ForAttributeIgnoresCodeOrder) {
+  const Relation r(Schema::Default(1), {{2, 0, 2, 1, 0, 3, 1, 2, 4, 3}},
+                   {{"w", "x", "y", "z", "q"}});
+  EXPECT_EQ(StrippedPartition::ForAttribute(r, 0),
+            StrippedPartition::FromPartition(Partition::ForAttribute(r, 0)));
+  EXPECT_EQ(StrippedPartition::ForAttribute(r, 0).ToString(),
+            "{{1,3,8}, {2,5}, {4,7}, {6,10}}");
+
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const Relation base = RandomRelation(5, 80, 1 + seed, seed);
+    std::vector<std::vector<ValueCode>> columns;
+    std::vector<std::vector<std::string>> dictionaries;
+    for (AttributeId a = 0; a < base.num_attributes(); ++a) {
+      // Reverse the code order: code c becomes d - 1 - c.
+      const size_t d = base.DistinctCount(a);
+      std::vector<ValueCode> column = base.Column(a);
+      for (ValueCode& code : column) {
+        code = static_cast<ValueCode>(d - 1 - code);
+      }
+      std::vector<std::string> dictionary(base.Dictionary(a).rbegin(),
+                                          base.Dictionary(a).rend());
+      columns.push_back(std::move(column));
+      dictionaries.push_back(std::move(dictionary));
+    }
+    const Relation shuffled(base.schema(), std::move(columns),
+                            std::move(dictionaries));
+    for (AttributeId a = 0; a < shuffled.num_attributes(); ++a) {
+      const StrippedPartition expected =
+          StrippedPartition::FromPartition(Partition::ForAttribute(shuffled, a));
+      EXPECT_EQ(StrippedPartition::ForAttribute(shuffled, a), expected)
+          << "seed " << seed << " attr " << a;
+      EXPECT_EQ(StrippedPartition::ForAttribute(base, a), expected);
+    }
+  }
+}
+
 TEST(ClassLabelTable, LabelsMatchPartitionClasses) {
   const Relation r = RandomRelation(5, 60, 3, 11);
   const StrippedPartitionDatabase db =
@@ -172,7 +211,6 @@ TEST(ClassLabelTable, LabelsMatchPartitionClasses) {
   ASSERT_EQ(table.num_attributes(), db.num_attributes());
   ASSERT_EQ(table.num_tuples(), db.num_tuples());
   for (AttributeId a = 0; a < db.num_attributes(); ++a) {
-    const uint32_t* row = table.Row(a);
     std::vector<uint32_t> expected(db.num_tuples(), 0);
     uint32_t id = 1;
     for (const EquivalenceClass& c : db.partition(a).classes()) {
@@ -180,7 +218,8 @@ TEST(ClassLabelTable, LabelsMatchPartitionClasses) {
       ++id;
     }
     for (TupleId t = 0; t < db.num_tuples(); ++t) {
-      ASSERT_EQ(row[t], expected[t]) << "attr " << a << " tuple " << t;
+      ASSERT_EQ(table.Label(t, a), expected[t])
+          << "attr " << a << " tuple " << t;
     }
   }
 }
@@ -194,7 +233,7 @@ TEST(ClassLabelTable, ThreadCountInvariance) {
   ASSERT_EQ(serial.bytes(), parallel.bytes());
   for (AttributeId a = 0; a < db.num_attributes(); ++a) {
     for (TupleId t = 0; t < db.num_tuples(); ++t) {
-      ASSERT_EQ(serial.Row(a)[t], parallel.Row(a)[t]);
+      ASSERT_EQ(serial.Label(t, a), parallel.Label(t, a));
     }
   }
 }

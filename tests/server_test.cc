@@ -343,6 +343,27 @@ TEST_F(ServerTest, MineValidatesItsParameters) {
   EXPECT_EQ(r.value().code, "InvalidArgument");
 }
 
+TEST_F(ServerTest, PutRejectsAmbiguousDelimiters) {
+  StartServer();
+  ServerClient client = Connect();
+  const std::string csv = "a;b\n1;2\n3;4\n";
+  for (const std::string bad : {"delimiter=;;", "delimiter=\""}) {
+    Result<Response> r = client.Call("put ds " + bad, csv);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r.value().ok) << bad;
+    EXPECT_EQ(r.value().code, "InvalidArgument") << bad;
+  }
+  Result<Response> list = client.Call("list");
+  ASSERT_TRUE(list.ok());
+  EXPECT_EQ(list.value().params.at("count"), "0");
+
+  Result<Response> put = client.Call("put ds delimiter=;", csv);
+  ASSERT_TRUE(put.ok());
+  ASSERT_TRUE(put.value().ok) << put.value().message;
+  EXPECT_EQ(put.value().params.at("attributes"), "2");
+  EXPECT_EQ(put.value().params.at("tuples"), "2");
+}
+
 TEST_F(ServerTest, TopKRankingAndProfileAndStats) {
   StartServer();
   ServerClient client = Connect();
