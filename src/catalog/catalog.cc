@@ -296,7 +296,8 @@ Status Catalog::Put(const std::string& name, const Relation& relation) {
   return Status::OK();
 }
 
-Result<Relation> Catalog::Get(const std::string& name) const {
+Result<Relation> Catalog::Get(const std::string& name,
+                              Fingerprint* verified) const {
   const Entry* entry = Find(name);
   if (entry == nullptr) {
     return Status::NotFound("no relation named '" + name + "'");
@@ -323,6 +324,7 @@ Result<Relation> Catalog::Get(const std::string& name) const {
                             "' does not match its recorded fingerprint " +
                             entry->fingerprint.ToHex());
   }
+  if (verified != nullptr) *verified = entry->fingerprint;
   return loaded;
 }
 

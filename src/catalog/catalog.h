@@ -81,8 +81,12 @@ class Catalog {
   /// Loads a relation by name, cross-checking the loaded data against
   /// the manifest-recorded attribute/tuple counts and content
   /// fingerprint; a mismatch (stale, orphaned, or swapped file) is
-  /// reported as DataLoss, never served silently.
-  Result<Relation> Get(const std::string& name) const;
+  /// reported as DataLoss, never served silently. `verified`, when given,
+  /// receives the fingerprint the loaded content was checked against
+  /// (zero for a v1 entry, which has none): the key of exactly the
+  /// returned relation, whatever a later Put does to the name.
+  Result<Relation> Get(const std::string& name,
+                       Fingerprint* verified = nullptr) const;
 
   /// Removes a relation and its file.
   Status Drop(const std::string& name);

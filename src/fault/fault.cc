@@ -45,6 +45,8 @@ const std::vector<FaultSite>& FaultSiteRegistry() {
        "worker-pool lane sleeps between block claims"},
       {"job/stall", FaultKind::kStall,
        "checkpointed-mine driver sleeps after a phase boundary"},
+      {"serve/stall", FaultKind::kStall,
+       "serve MINE sleeps between the cache lookup and the catalog load"},
   };
   return kSites;
 }

@@ -52,11 +52,20 @@ Result<Response> ServerClient::Call(const std::string& command_line,
     payload += '\n';
     payload += body;
   }
-  DEPMINER_RETURN_NOT_OK(SendFrame(fd_, payload));
+  const Status sent = SendFrame(fd_, payload);
+  if (!sent.ok()) {
+    // Only a socket error can have left a reply behind: the daemon's
+    // framed admission rejection, written before it closed without
+    // reading the request. Half-close first, so a live peer sees EOF
+    // instead of waiting for the rest of the frame, then read it.
+    if (sent.code() != StatusCode::kIoError) return sent;
+    ::shutdown(fd_, SHUT_WR);
+  }
   std::string response_payload;
   Result<bool> got = RecvFrame(fd_, &response_payload);
-  if (!got.ok()) return got.status();
-  if (!got.value()) {
+  if (!got.ok() || !got.value()) {
+    if (!sent.ok()) return sent;
+    if (!got.ok()) return got.status();
     return Status::IoError("server closed the connection before replying");
   }
   return ParseResponse(response_payload);

@@ -1,7 +1,6 @@
 #include "server/result_cache.h"
 
 #include <cstring>
-#include <fstream>
 
 #include "storage/checkpoint.h"
 
@@ -33,13 +32,11 @@ std::string ResultCache::PathFor(const Fingerprint& key) const {
 
 Result<FdSet> ResultCache::Lookup(const Fingerprint& key,
                                   Schema* schema) const {
-  const std::string path = PathFor(key);
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) return Status::NotFound("no cached cover for " + key.ToHex());
-  }
-  Result<JobCheckpoint> loaded = JobCheckpoint::Load(path);
+  Result<JobCheckpoint> loaded = JobCheckpoint::Load(PathFor(key));
   if (!loaded.ok()) {
+    if (loaded.status().code() == StatusCode::kNotFound) {
+      return Status::NotFound("no cached cover for " + key.ToHex());
+    }
     // Corrupt cache entries are misses, never failures: the caller
     // re-mines and the Store overwrite heals the entry.
     return Status::NotFound("cached cover for " + key.ToHex() +

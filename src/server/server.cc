@@ -18,6 +18,7 @@
 #include "common/strings.h"
 #include "core/dep_miner.h"
 #include "fastfds/fastfds.h"
+#include "fault/fault.h"
 #include "fd/ranking.h"
 #include "fdep/fdep.h"
 #include "partition/partition_database.h"
@@ -262,10 +263,11 @@ Status Server::Serve() {
     inflight_.fetch_add(1, std::memory_order_acq_rel);
     PoolRunDetached([this, fd] {
       HandleConnection(fd);
-      {
-        std::lock_guard<std::mutex> lock(drain_mu_);
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      }
+      // Notify while holding the lock: once it is released, Serve() may
+      // see the count reach zero, return, and let ~Server destroy the
+      // condition variable.
+      std::lock_guard<std::mutex> lock(drain_mu_);
+      inflight_.fetch_sub(1, std::memory_order_acq_rel);
       drain_cv_.notify_all();
     });
   }
@@ -451,6 +453,10 @@ std::string Server::DoMine(const Request& request) {
                       options_.num_threads, 1)));
   const bool nocache = ParamOr(request, "nocache", "0") == "1";
 
+  // A ranked (top-k) reply is a truncation and never cached. v1-manifest
+  // entries carry no fingerprint; without a content hash there is no
+  // sound cache key, so those requests always mine.
+  const bool cacheable = !nocache && mining.top_k == 0;
   Fingerprint dataset_fp;
   {
     std::shared_lock<std::shared_mutex> lock(catalog_mu_);
@@ -458,13 +464,10 @@ std::string Server::DoMine(const Request& request) {
     if (!info.ok()) return FormatError(info.status());
     dataset_fp = info.value().fingerprint;
   }
-  // v1-manifest entries carry no fingerprint; without a content hash
-  // there is no sound cache key, so those requests always mine.
-  const bool cacheable = !nocache && !dataset_fp.IsZero();
-  const Fingerprint key = ResultCache::KeyFor(dataset_fp, algo, mining);
-  if (cacheable && mining.top_k == 0) {
+  if (cacheable && !dataset_fp.IsZero()) {
     Schema schema;
-    Result<FdSet> hit = cache_->Lookup(key, &schema);
+    Result<FdSet> hit =
+        cache_->Lookup(ResultCache::KeyFor(dataset_fp, algo, mining), &schema);
     if (hit.ok()) {
       // Cache hit: the cover comes back through the finished-job
       // checkpoint path — the relation is never loaded, no miner runs.
@@ -477,10 +480,15 @@ std::string Server::DoMine(const Request& request) {
   }
   metrics_->cache_miss.fetch_add(1, std::memory_order_relaxed);
 
+  // The catalog lock is not held from the lookup to the load, so a PUT
+  // may replace the dataset in between; the load reports the fingerprint
+  // of what it actually returned, and the cover is filed under that.
+  DEPMINER_FAULT_STALL("serve/stall");
   std::optional<Relation> relation;
+  Fingerprint loaded_fp;
   {
     std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-    Result<Relation> loaded = catalog_->Get(name);
+    Result<Relation> loaded = catalog_->Get(name, &loaded_fp);
     if (!loaded.ok()) return FormatError(loaded.status());
     relation.emplace(std::move(loaded).value());
   }
@@ -529,11 +537,12 @@ std::string Server::DoMine(const Request& request) {
       {"complete", outcome.complete ? "1" : "0"}};
   if (!outcome.complete) {
     params["trip"] = StatusCodeToString(outcome.run_status.code());
-  } else if (cacheable && mining.top_k == 0) {
+  } else if (cacheable && !loaded_fp.IsZero()) {
     // Only complete, un-truncated covers are worth replaying; a partial
     // cover would poison every later request with silently-missing FDs.
-    const Status stored = cache_->Store(key, relation->schema(),
-                                        relation->num_tuples(), outcome.fds);
+    const Status stored =
+        cache_->Store(ResultCache::KeyFor(loaded_fp, algo, mining),
+                      relation->schema(), relation->num_tuples(), outcome.fds);
     if (!stored.ok()) {
       Log(LogLevel::kWarn, "server", "result-cache store failed",
           {LogStr("status", stored.ToString())});

@@ -50,4 +50,29 @@ Status AtomicWriteFile(const std::string& path, const std::string& blob,
   return Status::OK();
 }
 
+Result<std::string> ReadWholeFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::NotFound("cannot open '" + path + "'");
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IoError("cannot stat '" + path + "'");
+  }
+  std::string image(static_cast<size_t>(st.st_size), '\0');
+  size_t done = 0;
+  while (done < image.size()) {
+    const ssize_t n = ::read(fd, image.data() + done, image.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return Status::IoError("failed reading '" + path + "'");
+    }
+    if (n == 0) break;  // shrank since the fstat
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  image.resize(done);
+  return image;
+}
+
 }  // namespace depminer

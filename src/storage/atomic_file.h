@@ -23,4 +23,9 @@ namespace depminer {
 Status AtomicWriteFile(const std::string& path, const std::string& blob,
                        const std::string& tmp_suffix = ".tmp");
 
+/// The reading counterpart for the binary formats: the whole file in
+/// one buffer, sized from `fstat` and filled by one read loop. NotFound
+/// when the file cannot be opened, IoError when a read fails.
+Result<std::string> ReadWholeFile(const std::string& path);
+
 }  // namespace depminer

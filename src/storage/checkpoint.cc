@@ -1,14 +1,6 @@
 #include "storage/checkpoint.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include "core/lhs.h"
 #include "fault/fault.h"
@@ -20,48 +12,101 @@ namespace depminer {
 
 namespace {
 
-using binio::GetString;
-using binio::GetU32;
-using binio::GetU64;
-using binio::PutString;
-using binio::PutU32;
-using binio::PutU64;
-
-constexpr char kMagic[4] = {'D', 'M', 'K', '1'};
+constexpr std::string_view kMagic("DMK1", 4);
 constexpr uint32_t kVersion = 1;
 // Trailing marker: a file missing it was truncated mid-write (only
 // possible for a non-atomic writer; ours renames complete files into
 // place, so hitting this means foreign interference — either way the
 // checkpoint is unusable and the caller mines afresh).
 constexpr uint32_t kEndMarker = 0x314B4D44;  // "DMK1" little-endian
+// Smallest encodings, for checking a count before it sizes anything: an
+// attribute set is two words, an FD a set plus its RHS, a stored
+// equivalence class a size plus at least two tuple ids.
+constexpr size_t kSetBytes = 16;
+constexpr size_t kFdBytes = kSetBytes + 4;
+constexpr size_t kClassBytes = 8 + 2 * sizeof(TupleId);
+// Defensive cap on a family or cover, as in the column reader: 2^32
+// sets is ~64 GiB.
+constexpr uint64_t kMaxCount = uint64_t{1} << 32;
 
-void PutSet(std::ostream& out, const AttributeSet& s) {
-  PutU64(out, s.word(0));
-  PutU64(out, s.word(1));
+template <typename Sink>
+void EncodeSet(Sink& out, const AttributeSet& s) {
+  out.U64(s.word(0));
+  out.U64(s.word(1));
 }
 
-bool GetSet(std::istream& in, AttributeSet* s) {
+bool DecodeSet(binio::Reader& in, AttributeSet* s) {
   uint64_t w0 = 0, w1 = 0;
-  if (!GetU64(in, &w0) || !GetU64(in, &w1)) return false;
+  if (!in.U64(&w0) || !in.U64(&w1)) return false;
   *s = AttributeSet::FromWords(w0, w1);
   return true;
 }
 
-void PutSetFamily(std::ostream& out, const std::vector<AttributeSet>& sets) {
-  PutU64(out, sets.size());
-  for (const AttributeSet& s : sets) PutSet(out, s);
+template <typename Sink>
+void EncodeSetFamily(Sink& out, const std::vector<AttributeSet>& sets) {
+  out.U64(sets.size());
+  for (const AttributeSet& s : sets) EncodeSet(out, s);
 }
 
-bool GetSetFamily(std::istream& in, std::vector<AttributeSet>* sets) {
+bool DecodeSetFamily(binio::Reader& in, std::vector<AttributeSet>* sets) {
   uint64_t count = 0;
-  if (!GetU64(in, &count)) return false;
-  // Defensive cap, as in the column reader: 2^32 sets is ~64 GiB.
-  if (count > (uint64_t{1} << 32)) return false;
+  if (!in.U64(&count) || count > kMaxCount || !in.Fits(count, kSetBytes)) {
+    return false;
+  }
   sets->resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!GetSet(in, &(*sets)[i])) return false;
+  for (AttributeSet& s : *sets) {
+    if (!DecodeSet(in, &s)) return false;
   }
   return true;
+}
+
+/// The DMK1 layout; `Save` has rejected kNone already.
+template <typename Sink>
+void EncodeCheckpoint(const JobCheckpoint& c, Sink& out) {
+  out.Bytes(kMagic.data(), kMagic.size());
+  out.U32(kVersion);
+  out.U64(c.fingerprint.hi);
+  out.U64(c.fingerprint.lo);
+  out.U32(static_cast<uint32_t>(c.algorithm));
+  out.U32(static_cast<uint32_t>(c.phase));
+  const size_t n = c.schema.num_attributes();
+  out.U32(static_cast<uint32_t>(n));
+  for (size_t a = 0; a < n; ++a) {
+    out.String(c.schema.name(static_cast<AttributeId>(a)));
+  }
+  out.U64(c.num_tuples);
+
+  switch (c.phase) {
+    case MinePhase::kStrip:
+      for (const StrippedPartition& part : c.partitions.partitions()) {
+        out.U64(part.num_classes());
+        for (const ClassView ec : part.classes()) {
+          out.U64(ec.size());
+          out.U32Array(ec.data(), ec.size());
+        }
+      }
+      break;
+    case MinePhase::kAgree:
+      EncodeSetFamily(out, c.agree.sets);
+      out.U32(c.agree.contains_empty ? 1 : 0);
+      break;
+    case MinePhase::kCmax:
+      for (size_t a = 0; a < n; ++a) {
+        EncodeSetFamily(out, c.max_sets.max_sets[a]);
+        EncodeSetFamily(out, c.max_sets.cmax_sets[a]);
+      }
+      break;
+    case MinePhase::kCover:
+      out.U64(c.fds.size());
+      for (const FunctionalDependency& fd : c.fds.fds()) {
+        EncodeSet(out, fd.lhs);
+        out.U32(fd.rhs);
+      }
+      break;
+    case MinePhase::kNone:
+      break;
+  }
+  out.U32(kEndMarker);
 }
 
 Status Corrupt(const std::string& path, const char* what) {
@@ -87,77 +132,33 @@ const char* ToString(MinePhase phase) {
 }
 
 Status JobCheckpoint::Save(const std::string& path) const {
-  std::ostringstream out(std::ios::binary);
-  out.write(kMagic, 4);
-  PutU32(out, kVersion);
-  PutU64(out, fingerprint.hi);
-  PutU64(out, fingerprint.lo);
-  PutU32(out, static_cast<uint32_t>(algorithm));
-  PutU32(out, static_cast<uint32_t>(phase));
-  const size_t n = schema.num_attributes();
-  PutU32(out, static_cast<uint32_t>(n));
-  for (size_t a = 0; a < n; ++a) {
-    PutString(out, schema.name(static_cast<AttributeId>(a)));
+  if (phase == MinePhase::kNone) {
+    return Status::InvalidArgument("cannot save a kNone checkpoint");
   }
-  PutU64(out, num_tuples);
-
-  switch (phase) {
-    case MinePhase::kStrip: {
-      for (const StrippedPartition& part : partitions.partitions()) {
-        PutU64(out, part.num_classes());
-        for (const ClassView ec : part.classes()) {
-          PutU64(out, ec.size());
-          for (TupleId t : ec) PutU32(out, t);
-        }
-      }
-      break;
-    }
-    case MinePhase::kAgree: {
-      PutSetFamily(out, agree.sets);
-      PutU32(out, agree.contains_empty ? 1 : 0);
-      break;
-    }
-    case MinePhase::kCmax: {
-      for (size_t a = 0; a < n; ++a) {
-        PutSetFamily(out, max_sets.max_sets[a]);
-        PutSetFamily(out, max_sets.cmax_sets[a]);
-      }
-      break;
-    }
-    case MinePhase::kCover: {
-      PutU64(out, fds.size());
-      for (const FunctionalDependency& fd : fds.fds()) {
-        PutSet(out, fd.lhs);
-        PutU32(out, fd.rhs);
-      }
-      break;
-    }
-    case MinePhase::kNone:
-      return Status::InvalidArgument("cannot save a kNone checkpoint");
-  }
-  PutU32(out, kEndMarker);
-  if (!out) return Status::IoError("checkpoint serialization failed");
-  return AtomicWriteFile(path, out.str());
+  return AtomicWriteFile(path, binio::Encode([&](auto& out) {
+                           EncodeCheckpoint(*this, out);
+                         }));
 }
 
 Result<JobCheckpoint> JobCheckpoint::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open checkpoint '" + path + "'");
+  Result<std::string> image = ReadWholeFile(path);
+  if (!image.ok()) {
+    if (image.status().code() == StatusCode::kNotFound) {
+      return Status::NotFound("cannot open checkpoint '" + path + "'");
+    }
+    return image.status();
   }
-  char magic[4];
-  if (!in.read(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
-    return Corrupt(path, "not a DMK1 checkpoint");
-  }
+  binio::Reader in(image.value());
+  if (!in.Expect(kMagic)) return Corrupt(path, "not a DMK1 checkpoint");
   uint32_t version = 0;
-  if (!GetU32(in, &version) || version != kVersion) {
+  if (!in.U32(&version) || version != kVersion) {
     return Corrupt(path, "unsupported checkpoint version");
   }
 
   JobCheckpoint ckpt;
   uint32_t algorithm = 0, phase = 0, n = 0;
-  if (!GetU64(in, &ckpt.fingerprint.hi) || !GetU64(in, &ckpt.fingerprint.lo) ||
-      !GetU32(in, &algorithm) || !GetU32(in, &phase) || !GetU32(in, &n)) {
+  if (!in.U64(&ckpt.fingerprint.hi) || !in.U64(&ckpt.fingerprint.lo) ||
+      !in.U32(&algorithm) || !in.U32(&phase) || !in.U32(&n)) {
     return Corrupt(path, "truncated header");
   }
   if (algorithm > static_cast<uint32_t>(AgreeSetAlgorithm::kIdentifiers)) {
@@ -174,12 +175,12 @@ Result<JobCheckpoint> JobCheckpoint::Load(const std::string& path) {
   ckpt.phase = static_cast<MinePhase>(phase);
 
   std::vector<std::string> names(n);
-  for (uint32_t a = 0; a < n; ++a) {
-    if (!GetString(in, &names[a])) return Corrupt(path, "truncated schema");
+  for (std::string& name : names) {
+    if (!in.String(&name)) return Corrupt(path, "truncated schema");
   }
   ckpt.schema = Schema(std::move(names));
   uint64_t num_tuples = 0;
-  if (!GetU64(in, &num_tuples)) return Corrupt(path, "truncated header");
+  if (!in.U64(&num_tuples)) return Corrupt(path, "truncated header");
   ckpt.num_tuples = num_tuples;
 
   switch (ckpt.phase) {
@@ -188,22 +189,21 @@ Result<JobCheckpoint> JobCheckpoint::Load(const std::string& path) {
       parts.reserve(n);
       for (uint32_t a = 0; a < n; ++a) {
         uint64_t num_classes = 0;
-        if (!GetU64(in, &num_classes) || num_classes > num_tuples) {
+        if (!in.U64(&num_classes) || num_classes > num_tuples ||
+            !in.Fits(num_classes, kClassBytes)) {
           return Corrupt(path, "truncated partition");
         }
         std::vector<EquivalenceClass> classes(num_classes);
-        for (uint64_t c = 0; c < num_classes; ++c) {
+        for (EquivalenceClass& ec : classes) {
           uint64_t size = 0;
-          if (!GetU64(in, &size) || size < 2 || size > num_tuples) {
+          if (!in.U64(&size) || size < 2 || size > num_tuples ||
+              !in.Fits(size, sizeof(TupleId))) {
             return Corrupt(path, "implausible equivalence class");
           }
-          classes[c].resize(size);
-          for (uint64_t i = 0; i < size; ++i) {
-            uint32_t t = 0;
-            if (!GetU32(in, &t) || t >= num_tuples) {
-              return Corrupt(path, "tuple id out of range");
-            }
-            classes[c][i] = t;
+          ec.resize(size);
+          in.U32Array(ec.data(), ec.size());
+          for (TupleId t : ec) {
+            if (t >= num_tuples) return Corrupt(path, "tuple id out of range");
           }
         }
         parts.emplace_back(std::move(classes), num_tuples);
@@ -213,11 +213,9 @@ Result<JobCheckpoint> JobCheckpoint::Load(const std::string& path) {
       break;
     }
     case MinePhase::kAgree: {
-      if (!GetSetFamily(in, &ckpt.agree.sets)) {
-        return Corrupt(path, "truncated agree sets");
-      }
       uint32_t contains_empty = 0;
-      if (!GetU32(in, &contains_empty)) {
+      if (!DecodeSetFamily(in, &ckpt.agree.sets) ||
+          !in.U32(&contains_empty)) {
         return Corrupt(path, "truncated agree sets");
       }
       ckpt.agree.contains_empty = contains_empty != 0;
@@ -230,8 +228,8 @@ Result<JobCheckpoint> JobCheckpoint::Load(const std::string& path) {
       ckpt.max_sets.max_sets.resize(n);
       ckpt.max_sets.cmax_sets.resize(n);
       for (uint32_t a = 0; a < n; ++a) {
-        if (!GetSetFamily(in, &ckpt.max_sets.max_sets[a]) ||
-            !GetSetFamily(in, &ckpt.max_sets.cmax_sets[a])) {
+        if (!DecodeSetFamily(in, &ckpt.max_sets.max_sets[a]) ||
+            !DecodeSetFamily(in, &ckpt.max_sets.cmax_sets[a])) {
           return Corrupt(path, "truncated max-set families");
         }
       }
@@ -239,16 +237,17 @@ Result<JobCheckpoint> JobCheckpoint::Load(const std::string& path) {
     }
     case MinePhase::kCover: {
       uint64_t num_fds = 0;
-      if (!GetU64(in, &num_fds) || num_fds > (uint64_t{1} << 32)) {
+      if (!in.U64(&num_fds) || num_fds > kMaxCount ||
+          !in.Fits(num_fds, kFdBytes)) {
         return Corrupt(path, "truncated FD cover");
       }
       std::vector<FunctionalDependency> fds(num_fds);
-      for (uint64_t i = 0; i < num_fds; ++i) {
+      for (FunctionalDependency& fd : fds) {
         uint32_t rhs = 0;
-        if (!GetSet(in, &fds[i].lhs) || !GetU32(in, &rhs) || rhs >= n) {
+        if (!DecodeSet(in, &fd.lhs) || !in.U32(&rhs) || rhs >= n) {
           return Corrupt(path, "truncated FD cover");
         }
-        fds[i].rhs = rhs;
+        fd.rhs = rhs;
       }
       ckpt.fds = FdSet(n, std::move(fds));
       break;
@@ -258,7 +257,7 @@ Result<JobCheckpoint> JobCheckpoint::Load(const std::string& path) {
   }
 
   uint32_t end = 0;
-  if (!GetU32(in, &end) || end != kEndMarker) {
+  if (!in.U32(&end) || end != kEndMarker) {
     return Corrupt(path, "missing end marker (truncated checkpoint)");
   }
   return ckpt;

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "catalog/fingerprint.h"
 #include "common/run_context.h"
@@ -22,6 +23,9 @@ namespace depminer {
 namespace {
 
 using ::depminer::testing::PaperExampleRelation;
+using ::depminer::testing::PutLe;
+using ::depminer::testing::ReadFileBytes;
+using ::depminer::testing::WriteFileBytes;
 
 TEST(FingerprintTest, DeterministicAndContentSensitive) {
   Fingerprinter a, b;
@@ -160,37 +164,91 @@ TEST_F(CheckpointRoundTrip, CoverPhase) {
   std::remove(path.c_str());
 }
 
+/// A checkpoint of the paper example at `phase`, with its artifact.
+JobCheckpoint PhaseCheckpoint(const PipelineArtifacts& art, MinePhase phase) {
+  JobCheckpoint ckpt = BaseCheckpoint(art);
+  ckpt.phase = phase;
+  ckpt.partitions = art.partitions;
+  ckpt.agree = art.agree;
+  ckpt.max_sets = art.max_sets;
+  ckpt.fds = art.fds;
+  return ckpt;
+}
+
+constexpr MinePhase kAllPhases[] = {MinePhase::kStrip, MinePhase::kAgree,
+                                    MinePhase::kCmax, MinePhase::kCover};
+
 TEST_F(CheckpointRoundTrip, RejectsCorruptionAndTruncation) {
-  JobCheckpoint ckpt = BaseCheckpoint(art_);
-  ckpt.phase = MinePhase::kCover;
-  ckpt.fds = art_.fds;
   const std::string path = Path("corrupt");
-  ASSERT_TRUE(ckpt.Save(path).ok());
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign((std::istreambuf_iterator<char>(in)),
-                 std::istreambuf_iterator<char>());
+  for (MinePhase phase : kAllPhases) {
+    SCOPED_TRACE(ToString(phase));
+    ASSERT_TRUE(PhaseCheckpoint(art_, phase).Save(path).ok());
+    std::string bytes = ReadFileBytes(path);
+    // Truncation at every strict prefix must load cleanly as an
+    // IoError, never crash or return a half-parsed checkpoint.
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      WriteFileBytes(path, std::string_view(bytes).substr(0, len));
+      Result<JobCheckpoint> cut = JobCheckpoint::Load(path);
+      ASSERT_FALSE(cut.ok()) << "prefix " << len;
+      EXPECT_EQ(cut.status().code(), StatusCode::kIoError) << "prefix " << len;
+    }
+    // Wrong magic.
+    bytes[0] = 'X';
+    WriteFileBytes(path, bytes);
+    Result<JobCheckpoint> bad = JobCheckpoint::Load(path);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
   }
-  // Truncation at every prefix must load cleanly as an error, never
-  // crash or return a half-parsed checkpoint.
-  for (size_t len = 0; len < bytes.size(); len += 7) {
-    std::ofstream(path, std::ios::binary | std::ios::trunc)
-        .write(bytes.data(), static_cast<std::streamsize>(len));
-    EXPECT_FALSE(JobCheckpoint::Load(path).ok()) << "prefix " << len;
-  }
-  // Wrong magic.
-  bytes[0] = 'X';
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  Result<JobCheckpoint> bad = JobCheckpoint::Load(path);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
   // Missing file.
   std::remove(path.c_str());
   Result<JobCheckpoint> missing = JobCheckpoint::Load(path);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(CheckpointRoundTrip, DoctoredCountsAreIoErrors) {
+  // Every count in a phase payload is checked against the bytes left
+  // before it sizes anything, so a doctored count is a clean IoError
+  // instead of an allocation the file cannot back.
+  const std::string path = Path("doctored");
+  // The header: magic, version, fingerprint, algorithm, phase, attribute
+  // count, the length-prefixed names, then the tuple count.
+  size_t header = 4 + 4 + 16 + 4 + 4 + 4;
+  for (const std::string& name : art_.relation.schema().names()) {
+    header += 4 + name.size();
+  }
+  const size_t payload = header + 8;
+  struct Doctoring {
+    MinePhase phase;
+    size_t offset;
+    uint64_t value;
+  };
+  const Doctoring cases[] = {
+      // kStrip: the first class count, then instead the first class
+      // size (the tuple count is raised too, so neither is capped by it).
+      {MinePhase::kStrip, payload, uint64_t{1} << 39},
+      {MinePhase::kStrip, payload + 8, uint64_t{1} << 39},
+      // kAgree and kCmax: the first family's set count, inside the cap.
+      {MinePhase::kAgree, payload, uint64_t{1} << 32},
+      {MinePhase::kCmax, payload, uint64_t{1} << 32},
+      // kCover: the FD count, inside the cap.
+      {MinePhase::kCover, payload, uint64_t{1} << 32},
+  };
+  for (const Doctoring& d : cases) {
+    SCOPED_TRACE(std::string(ToString(d.phase)) + " @" +
+                 std::to_string(d.offset));
+    ASSERT_TRUE(PhaseCheckpoint(art_, d.phase).Save(path).ok());
+    std::string bytes = ReadFileBytes(path);
+    if (d.phase == MinePhase::kStrip) {
+      PutLe(&bytes, header, uint64_t{1} << 40, 8);  // room for the counts
+    }
+    PutLe(&bytes, d.offset, d.value, 8);
+    WriteFileBytes(path, bytes);
+    Result<JobCheckpoint> loaded = JobCheckpoint::Load(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointPathTest, AlgorithmsCoexistInOneDirectory) {

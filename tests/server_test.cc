@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 
 #include "catalog/catalog.h"
 #include "core/dep_miner.h"
+#include "fault/fault.h"
 #include "relation/csv.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -228,6 +230,131 @@ TEST_F(ServerTest, ResultCacheSurvivesServerRestart) {
   ASSERT_TRUE(again.value().ok) << again.value().message;
   EXPECT_EQ(again.value().params.at("cached"), "1");
   EXPECT_EQ(again.value().body, first_body);
+}
+
+/// Overwrites the 8 bytes at `offset` of file `path` with `v`,
+/// little-endian.
+void DoctorU64(const std::string& path, size_t offset, uint64_t v) {
+  std::string bytes = testing::ReadFileBytes(path);
+  ASSERT_LE(offset + 8, bytes.size()) << path;
+  testing::PutLe(&bytes, offset, v, 8);
+  testing::WriteFileBytes(path, bytes);
+}
+
+TEST_F(ServerTest, DoctoredCacheEntryMissesAndHeals) {
+  StartServer();
+  ServerClient client = Connect();
+  PutRelation(client, "ds", RandomRelation(5, 14, 3, 23));
+  Result<Response> first = client.Call("mine ds");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value().ok) << first.value().message;
+  EXPECT_EQ(first.value().params.at("cached"), "0");
+
+  // The one cover entry: its FD count sits before the FDs (20 bytes
+  // each) and the 4-byte end marker. Claim 2^32 FDs, inside the reader's
+  // cap but far beyond the file.
+  std::vector<std::filesystem::path> entries;
+  for (const auto& e : std::filesystem::directory_iterator(dir_ + "/cache")) {
+    entries.push_back(e.path());
+  }
+  ASSERT_EQ(entries.size(), 1u);
+  const uint64_t fds = std::stoull(first.value().params.at("fds"));
+  const size_t size = std::filesystem::file_size(entries[0]);
+  DoctorU64(entries[0], size - 4 - 20 * fds - 8, uint64_t{1} << 32);
+
+  // A bad entry is a miss that re-mines and heals.
+  Result<Response> healed = client.Call("mine ds");
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  ASSERT_TRUE(healed.value().ok) << healed.value().message;
+  EXPECT_EQ(healed.value().params.at("cached"), "0");
+  EXPECT_EQ(healed.value().body, first.value().body);
+  Result<Response> hit = client.Call("mine ds");
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  ASSERT_TRUE(hit.value().ok) << hit.value().message;
+  EXPECT_EQ(hit.value().params.at("cached"), "1");
+  EXPECT_EQ(hit.value().body, first.value().body);
+}
+
+TEST_F(ServerTest, DoctoredColumnFileAnswersErrAndKeepsServing) {
+  StartServer();
+  ServerClient client = Connect();
+  PutRelation(client, "ds", RandomRelation(4, 30, 3, 8));
+  const std::string csv =
+      PutRelation(client, "other", RandomRelation(4, 30, 3, 9));
+  // The tuple count follows the magic and the attribute count: claim
+  // 2^60 tuples.
+  DoctorU64(dir_ + "/ds.g1.dmc", 8, uint64_t{1} << 60);
+
+  Result<Response> bad = client.Call("mine ds");
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  EXPECT_FALSE(bad.value().ok);
+  EXPECT_EQ(bad.value().code, "IoError");
+
+  // The daemon is still up, on this connection and on a new one.
+  Result<Response> ping = client.Call("ping");
+  ASSERT_TRUE(ping.ok()) << ping.status().ToString();
+  EXPECT_TRUE(ping.value().ok);
+  ServerClient fresh = Connect();
+  Result<Response> mined = fresh.Call("mine other");
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  ASSERT_TRUE(mined.value().ok) << mined.value().message;
+  Result<Relation> parsed = ParseCsvRelation(csv);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(mined.value().body, ExpectedCover(parsed.value()));
+}
+
+TEST_F(ServerTest, MineRacingAPutCachesWhatItLoaded) {
+#if !DEPMINER_FAULTS_ENABLED
+  GTEST_SKIP() << "needs the serve/stall fault site";
+#else
+  StartServer();
+  ServerClient miner = Connect();
+  ServerClient writer = Connect();
+  const std::string csv_a =
+      PutRelation(writer, "ds", RandomRelation(5, 14, 3, 101));
+  const std::string csv_b = CsvToString(RandomRelation(5, 14, 3, 202));
+  Result<Relation> a = ParseCsvRelation(csv_a);
+  Result<Relation> b = ParseCsvRelation(csv_b);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  const std::string cover_a = ExpectedCover(a.value());
+  const std::string cover_b = ExpectedCover(b.value());
+  ASSERT_NE(cover_a, cover_b);
+
+  // MINE looks up A's key and misses, then stalls before the load; B
+  // replaces A inside the stall, so the MINE loads and mines B.
+  std::optional<Result<Response>> raced;
+  {
+    FaultPlan plan;
+    plan.site = "serve/stall";
+    plan.stall_ms = 1500;
+    FaultScope scope(plan);
+    std::thread mine([&] { raced.emplace(miner.Call("mine ds")); });
+    for (int waited = 0; scope.hits() == 0 && waited < 10000; ++waited) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    Result<Response> put = writer.Call("put ds", csv_b);
+    mine.join();
+    ASSERT_TRUE(put.ok()) << put.status().ToString();
+    ASSERT_TRUE(put.value().ok) << put.value().message;
+  }
+  ASSERT_TRUE(raced->ok()) << raced->status().ToString();
+  ASSERT_TRUE(raced->value().ok) << raced->value().message;
+  EXPECT_EQ(raced->value().body, cover_b);
+
+  // B's cover was filed under B's fingerprint, so A's content mines
+  // afresh to A's own cover, and only then hits.
+  Result<Response> put_a = writer.Call("put ds", csv_a);
+  ASSERT_TRUE(put_a.ok()) << put_a.status().ToString();
+  ASSERT_TRUE(put_a.value().ok) << put_a.value().message;
+  for (const char* cached : {"0", "1"}) {
+    Result<Response> again = writer.Call("mine ds");
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    ASSERT_TRUE(again.value().ok) << again.value().message;
+    EXPECT_EQ(again.value().params.at("cached"), cached);
+    EXPECT_EQ(again.value().body, cover_a);
+  }
+#endif
 }
 
 TEST_F(ServerTest, EightConcurrentClientsMineBitIdenticalCovers) {

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "core/dep_miner.h"
 #include "relation/csv.h"
@@ -17,7 +18,10 @@ namespace depminer {
 namespace {
 
 using ::depminer::testing::PaperExampleRelation;
+using ::depminer::testing::PutLe;
 using ::depminer::testing::RandomRelation;
+using ::depminer::testing::ReadFileBytes;
+using ::depminer::testing::WriteFileBytes;
 
 std::string WriteTempCsv(const std::string& content, const char* name) {
   const std::string path = ::testing::TempDir() + "/" + name;
@@ -148,18 +152,43 @@ TEST(ColumnFile, RejectsBadMagicAndTruncation) {
   }
   EXPECT_EQ(ReadColumnFile(path).status().code(), StatusCode::kIoError);
 
-  // Valid file, then truncate it.
+  // Valid file, then every strict prefix of it: each is an IoError,
+  // never a relation and never a crash.
   const Relation r = PaperExampleRelation();
   ASSERT_TRUE(WriteColumnFile(r, path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  const std::string bytes = ReadFileBytes(path);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    WriteFileBytes(path, std::string_view(bytes).substr(0, len));
+    EXPECT_EQ(ReadColumnFile(path).status().code(), StatusCode::kIoError)
+        << "prefix " << len;
   }
-  EXPECT_EQ(ReadColumnFile(path).status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+TEST(ColumnFile, DoctoredCountsAreIoErrors) {
+  // Counts are checked against the bytes left before anything is sized
+  // by them, so a doctored count cannot become a giant allocation.
+  const std::string path = ::testing::TempDir() + "/depminer_doctored.dmc";
+  // One attribute "a", dictionary {"x"}, one code — but 2^60 tuples.
+  std::string tiny("DMC1", 4);
+  tiny += std::string(4 + 8, '\0');
+  PutLe(&tiny, 4, 1, 4);
+  PutLe(&tiny, 8, uint64_t{1} << 60, 8);
+  tiny += std::string("\x01\0\0\0a\x01\0\0\0\x01\0\0\0x\0\0\0\0", 18);
+  ASSERT_EQ(tiny.size(), 34u);
+  WriteFileBytes(path, tiny);
+  Result<Relation> read = ReadColumnFile(path);
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+
+  // The paper example with its first dictionary size doctored to 2^32-1
+  // (after the 16-byte header and the length-prefixed name "empnum").
+  const Relation r = PaperExampleRelation();
+  ASSERT_TRUE(WriteColumnFile(r, path).ok());
+  std::string bytes = ReadFileBytes(path);
+  PutLe(&bytes, 16 + 4 + 6, 0xFFFFFFFFu, 4);
+  WriteFileBytes(path, bytes);
+  read = ReadColumnFile(path);
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
   std::remove(path.c_str());
 }
 

@@ -1,5 +1,8 @@
 #include "test_util.h"
 
+#include <fstream>
+#include <iterator>
+
 #include "common/rng.h"
 #include "fd/naive_discovery.h"
 #include "fd/satisfaction.h"
@@ -105,6 +108,23 @@ bool CoverEquivalent(const FdSet& a, const FdSet& b) {
            << oracle.size();
   }
   return ::testing::AssertionSuccess();
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, std::string_view bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void PutLe(std::string* bytes, size_t offset, uint64_t v, size_t width) {
+  for (size_t i = 0; i < width; ++i) {
+    (*bytes)[offset + i] = static_cast<char>(v >> (8 * i));
+  }
 }
 
 }  // namespace depminer::testing

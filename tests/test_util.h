@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/attribute_set.h"
@@ -39,5 +41,15 @@ bool CoverEquivalent(const FdSet& a, const FdSet& b);
 /// exhaustive oracle finds is missing.
 ::testing::AssertionResult IsExactMinimalFdSetOf(const Relation& relation,
                                                  const FdSet& fds);
+
+/// The bytes of file `path` (empty when it cannot be read).
+std::string ReadFileBytes(const std::string& path);
+
+/// Replaces file `path` with `bytes`.
+void WriteFileBytes(const std::string& path, std::string_view bytes);
+
+/// Overwrites the `width` bytes at `offset` of `bytes` with `v`,
+/// little-endian — for doctoring a field of a binary file.
+void PutLe(std::string* bytes, size_t offset, uint64_t v, size_t width);
 
 }  // namespace depminer::testing
