@@ -2,8 +2,11 @@
 // replaced.
 //
 // Two measurements. First, Max⊆/Min⊆ in isolation on random families of
-// growing size — the inverted posting-list index (common/dominance.h)
-// versus the retained O(|S|²) survivor scan, same survivors either way.
+// growing size: the kernel as shipped (the O(|S|²) survivor scan below
+// its index cutoff, the inverted posting-list index of
+// common/dominance.h at and above it), the scan alone, and the index
+// alone at every size, so the cutoff can be read off the table. Same
+// survivors on every path.
 // Second, the full CMAX_SET stage (core/max_sets.h): the single-pass
 // shared-index kernel versus the pre-kernel per-attribute loop
 // (`ComputeMaxSetsNaive`), on every bundled dataset in data/ plus one
@@ -11,7 +14,8 @@
 // an iteration loop and per-iteration times are reported; the synthetic
 // row provides a family large enough for the index to matter.
 //
-// Flags: --sizes=64,256,1024,4096  random-family sizes for part one
+// Flags: --sizes=64,256,512,1024,2048,4096
+//                                  random-family sizes for part one
 //        --attrs=N                 attribute count for random families
 //        --density=PERCENT         attribute membership probability
 //        --reps=N                  timed repetitions per family size;
@@ -22,6 +26,7 @@
 //        --json=PATH               machine-readable results
 //        (scripts/bench_cmax.sh writes BENCH_cmax_dominance.json)
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -61,13 +66,40 @@ std::vector<AttributeSet> Canonical(std::vector<AttributeSet> sets) {
   return sets;
 }
 
+/// Max⊆ (maximal) or Min⊆ through the posting index at any family size:
+/// the index branch of the kernel, without its small-family cutoff.
+std::vector<AttributeSet> IndexFilter(std::vector<AttributeSet> sets,
+                                      bool maximal) {
+  std::sort(sets.begin(), sets.end());
+  sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
+  std::stable_sort(sets.begin(), sets.end(),
+                   [maximal](const AttributeSet& a, const AttributeSet& b) {
+                     return maximal ? a.Count() > b.Count()
+                                    : a.Count() < b.Count();
+                   });
+  const DominanceIndex index(sets, maximal
+                                       ? DominanceIndex::Order::kNonIncreasing
+                                       : DominanceIndex::Order::kNonDecreasing);
+  std::vector<uint64_t> scratch(std::max<size_t>(index.words_per_bitmap(), 1));
+  std::vector<AttributeSet> out;
+  for (const AttributeSet& s : sets) {
+    const bool dominated =
+        maximal ? index.HasProperSupersetOf(s, nullptr, scratch.data())
+                : index.HasProperSubsetOf(s, nullptr, scratch.data());
+    if (!dominated) out.push_back(s);
+  }
+  return out;
+}
+
 /// One Max⊆/Min⊆ measurement row.
 struct FamilyRow {
   size_t size = 0;
   double max_kernel_s = 0;
   double max_naive_s = 0;
+  double max_index_s = 0;
   double min_kernel_s = 0;
   double min_naive_s = 0;
+  double min_index_s = 0;
 };
 
 /// One CMAX_SET measurement row.
@@ -129,7 +161,7 @@ int main(int argc, char** argv) {
   ArgParser parser;
   (void)parser.Parse(argc, argv);
   const std::vector<int64_t> sizes =
-      parser.GetIntList("sizes", {64, 256, 1024, 4096});
+      parser.GetIntList("sizes", {64, 256, 512, 1024, 2048, 4096});
   const size_t attrs = static_cast<size_t>(parser.GetInt("attrs", 40));
   const uint64_t density =
       static_cast<uint64_t>(parser.GetInt("density", 50));
@@ -140,16 +172,15 @@ int main(int argc, char** argv) {
   const std::string json_path = parser.GetString("json", "");
 
   // Part one: Max⊆/Min⊆ on random families of growing size. The kernel
-  // dispatch (batched survivor scan below the index cutoff, posting
-  // index above — see common/dominance.cc) vs the plain quadratic scan;
-  // medians of `reps` runs so the small families are not pure noise.
-  std::printf("== Ablation: Max⊆/Min⊆ kernel vs naive (|R|=%zu, d=%llu%%, "
-              "backend=%s, median of %zu) ==\n",
-              attrs, static_cast<unsigned long long>(density),
-              ToString(ActiveDominanceBackend()), reps);
-  std::printf("%-8s %-14s %-12s %-14s %-12s %-12s\n", "sets",
-              "max_kernel_s", "max_naive_s", "min_kernel_s", "min_naive_s",
-              "max_speedup");
+  // (survivor scan below the index cutoff, posting index above — see
+  // common/dominance.cc) vs the scan alone vs the index alone; medians
+  // of `reps` runs so the small families are not pure noise.
+  std::printf("== Ablation: Max⊆/Min⊆ kernel vs naive scan vs index "
+              "(|R|=%zu, d=%llu%%, median of %zu) ==\n",
+              attrs, static_cast<unsigned long long>(density), reps);
+  std::printf("%-8s %-14s %-12s %-12s %-14s %-12s %-12s\n", "sets",
+              "max_kernel_s", "max_naive_s", "max_index_s", "min_kernel_s",
+              "min_naive_s", "min_index_s");
 
   Rng rng(seed);
   std::vector<FamilyRow> family_rows;
@@ -161,17 +192,23 @@ int main(int argc, char** argv) {
 
     row.max_kernel_s = MedianSeconds(reps, [&] { MaximalSets(family); });
     row.max_naive_s = MedianSeconds(reps, [&] { MaximalSetsNaive(family); });
+    row.max_index_s = MedianSeconds(reps, [&] { IndexFilter(family, true); });
     row.min_kernel_s = MedianSeconds(reps, [&] { MinimalSets(family); });
     row.min_naive_s = MedianSeconds(reps, [&] { MinimalSetsNaive(family); });
+    row.min_index_s = MedianSeconds(reps, [&] { IndexFilter(family, false); });
 
-    if (Canonical(MaximalSets(family)) != Canonical(MaximalSetsNaive(family)) ||
-        Canonical(MinimalSets(family)) != Canonical(MinimalSetsNaive(family))) {
+    const std::vector<AttributeSet> max = Canonical(MaximalSetsNaive(family));
+    const std::vector<AttributeSet> min = Canonical(MinimalSetsNaive(family));
+    if (Canonical(MaximalSets(family)) != max ||
+        Canonical(IndexFilter(family, true)) != max ||
+        Canonical(MinimalSets(family)) != min ||
+        Canonical(IndexFilter(family, false)) != min) {
       std::fprintf(stderr, "MISMATCH at %zu sets\n", row.size);
       return 1;
     }
-    std::printf("%-8zu %-14.4f %-12.4f %-14.4f %-12.4f %-12.2f\n", row.size,
-                row.max_kernel_s, row.max_naive_s, row.min_kernel_s,
-                row.min_naive_s, Speedup(row.max_naive_s, row.max_kernel_s));
+    std::printf("%-8zu %-14.6f %-12.6f %-12.6f %-14.6f %-12.6f %-12.6f\n",
+                row.size, row.max_kernel_s, row.max_naive_s, row.max_index_s,
+                row.min_kernel_s, row.min_naive_s, row.min_index_s);
     family_rows.push_back(row);
   }
 
@@ -256,7 +293,6 @@ int main(int argc, char** argv) {
     json.Key("seed").Value(static_cast<uint64_t>(seed));
     json.Key("hardware_threads")
         .Value(static_cast<uint64_t>(DefaultThreadCount()));
-    json.Key("backend").Value(ToString(ActiveDominanceBackend()));
     json.Key("reps").Value(static_cast<uint64_t>(reps));
     json.Key("families").OpenArray();
     for (const FamilyRow& row : family_rows) {
@@ -264,8 +300,10 @@ int main(int argc, char** argv) {
       json.Key("sets").Value(static_cast<uint64_t>(row.size));
       json.Key("max_kernel_s").Value(row.max_kernel_s);
       json.Key("max_naive_s").Value(row.max_naive_s);
+      json.Key("max_index_s").Value(row.max_index_s);
       json.Key("min_kernel_s").Value(row.min_kernel_s);
       json.Key("min_naive_s").Value(row.min_naive_s);
+      json.Key("min_index_s").Value(row.min_index_s);
       json.Key("max_speedup")
           .Value(Speedup(row.max_naive_s, row.max_kernel_s));
       json.Key("min_speedup")

@@ -692,11 +692,10 @@ int CmdStats(const Relation& relation) {
 Status LoadMany(const ArgParser& args, std::vector<Relation>* owned,
                 std::vector<std::string>* labels) {
   for (size_t i = 1; i < args.positional().size(); ++i) {
-    CsvOptions options;
-    options.has_header = !args.GetBool("no-header", false);
-    Result<Relation> r = HasSuffix(args.positional()[i], ".dmc")
-                             ? ReadColumnFile(args.positional()[i])
-                             : ReadCsvRelation(args.positional()[i], options);
+    Result<Relation> r =
+        HasSuffix(args.positional()[i], ".dmc")
+            ? ReadColumnFile(args.positional()[i])
+            : ReadCsvRelation(args.positional()[i], CsvFlags(args));
     if (!r.ok()) return r.status();
     owned->push_back(std::move(r).value());
     labels->push_back(args.positional()[i]);
@@ -993,7 +992,8 @@ int CmdCatalog(const ArgParser& args) {
     return 0;
   }
   if (action == "put" && args.positional().size() >= 5) {
-    Result<Relation> r = ReadCsvRelation(args.positional()[4]);
+    Result<Relation> r =
+        ReadCsvRelation(args.positional()[4], CsvFlags(args));
     if (!r.ok()) {
       std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
       return 1;
@@ -1223,6 +1223,11 @@ int main(int argc, char** argv) {
                    flag, raw.c_str());
       return 2;
     }
+  }
+  if (args.Has("algo") && !IsKnownMiner(args.GetString("algo", ""))) {
+    std::fprintf(stderr, "error: unknown --algo \"%s\" (%s)\n",
+                 args.GetString("algo", "").c_str(), kMinerNames);
+    return 2;
   }
   if (args.Has("delimiter")) {
     CsvOptions csv;

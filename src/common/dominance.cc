@@ -1,15 +1,7 @@
 #include "common/dominance.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define DEPMINER_DOMINANCE_HAS_AVX2 1
-#else
-#define DEPMINER_DOMINANCE_HAS_AVX2 0
-#endif
 
 #include "common/trace.h"
 
@@ -22,21 +14,11 @@ uint64_t TailMask(size_t prefix) {
                             : ((uint64_t{1} << (prefix % 64)) - 1);
 }
 
-// ---------------------------------------------------------------------------
-// Batched bitmap primitives, one set per backend.
-//
-// The kernel's two hot loops are (a) intersecting a posting row into a
-// survivor bitmap (`dst &= row`, resp. `dst &= ~row`) while OR-folding the
-// result so callers can short-circuit once no survivor remains, and (b)
-// testing one candidate's AttributeSet words against a structure-of-arrays
-// family of already-kept survivors (the small-family scan). Both are pure
-// word-parallel bit algebra, so each has a portable 64-bit implementation
-// (the oracle) and an AVX2 one processing four id-bitmap words — or four
-// survivors — per instruction. Backends are observationally identical:
-// they compute the same booleans, so every caller's output is bit-identical
-// regardless of dispatch.
+// The index's two hot loops: intersect a posting row into a survivor
+// bitmap (`dst &= row`, resp. `dst &= ~row`) while OR-folding the result,
+// so callers can stop as soon as no survivor remains.
 
-uint64_t AndIntoScalar(uint64_t* dst, const uint64_t* src, size_t nw) {
+uint64_t AndInto(uint64_t* dst, const uint64_t* src, size_t nw) {
   uint64_t any = 0;
   size_t w = 0;
   for (; w + 4 <= nw; w += 4) {
@@ -49,7 +31,7 @@ uint64_t AndIntoScalar(uint64_t* dst, const uint64_t* src, size_t nw) {
   return any;
 }
 
-uint64_t AndNotIntoScalar(uint64_t* dst, const uint64_t* src, size_t nw) {
+uint64_t AndNotInto(uint64_t* dst, const uint64_t* src, size_t nw) {
   uint64_t any = 0;
   size_t w = 0;
   for (; w + 4 <= nw; w += 4) {
@@ -62,188 +44,7 @@ uint64_t AndNotIntoScalar(uint64_t* dst, const uint64_t* src, size_t nw) {
   return any;
 }
 
-/// True iff some kept set (SoA words k0/k1) is a superset of (s0, s1).
-bool AnySupersetScalar(uint64_t s0, uint64_t s1, const uint64_t* k0,
-                       const uint64_t* k1, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (((s0 & ~k0[i]) | (s1 & ~k1[i])) == 0) return true;
-  }
-  return false;
-}
-
-/// True iff some kept set (SoA words k0/k1) is a subset of (s0, s1).
-bool AnySubsetScalar(uint64_t s0, uint64_t s1, const uint64_t* k0,
-                     const uint64_t* k1, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (((k0[i] & ~s0) | (k1[i] & ~s1)) == 0) return true;
-  }
-  return false;
-}
-
-#if DEPMINER_DOMINANCE_HAS_AVX2
-
-__attribute__((target("avx2"))) uint64_t AndIntoAvx2(uint64_t* dst,
-                                                     const uint64_t* src,
-                                                     size_t nw) {
-  __m256i any = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= nw; w += 4) {
-    const __m256i d = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), d);
-    any = _mm256_or_si256(any, d);
-  }
-  uint64_t fold = _mm256_testz_si256(any, any) ? 0 : 1;
-  for (; w < nw; ++w) fold |= (dst[w] &= src[w]);
-  return fold;
-}
-
-__attribute__((target("avx2"))) uint64_t AndNotIntoAvx2(uint64_t* dst,
-                                                        const uint64_t* src,
-                                                        size_t nw) {
-  __m256i any = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= nw; w += 4) {
-    // _mm256_andnot_si256(a, b) = ~a & b.
-    const __m256i d = _mm256_andnot_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), d);
-    any = _mm256_or_si256(any, d);
-  }
-  uint64_t fold = _mm256_testz_si256(any, any) ? 0 : 1;
-  for (; w < nw; ++w) fold |= (dst[w] &= ~src[w]);
-  return fold;
-}
-
-__attribute__((target("avx2"))) bool AnySupersetAvx2(uint64_t s0, uint64_t s1,
-                                                     const uint64_t* k0,
-                                                     const uint64_t* k1,
-                                                     size_t n) {
-  const __m256i vs0 = _mm256_set1_epi64x(static_cast<long long>(s0));
-  const __m256i vs1 = _mm256_set1_epi64x(static_cast<long long>(s1));
-  const __m256i zero = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // s \ kept, per 64-bit lane over four kept sets at once; an all-zero
-    // lane in both words means that kept set contains every bit of s.
-    const __m256i miss = _mm256_or_si256(
-        _mm256_andnot_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k0 + i)), vs0),
-        _mm256_andnot_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k1 + i)), vs1));
-    const __m256i hit = _mm256_cmpeq_epi64(miss, zero);
-    if (!_mm256_testz_si256(hit, hit)) return true;
-  }
-  return AnySupersetScalar(s0, s1, k0 + i, k1 + i, n - i);
-}
-
-__attribute__((target("avx2"))) bool AnySubsetAvx2(uint64_t s0, uint64_t s1,
-                                                   const uint64_t* k0,
-                                                   const uint64_t* k1,
-                                                   size_t n) {
-  const __m256i vs0 = _mm256_set1_epi64x(static_cast<long long>(s0));
-  const __m256i vs1 = _mm256_set1_epi64x(static_cast<long long>(s1));
-  const __m256i zero = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i miss = _mm256_or_si256(
-        _mm256_andnot_si256(
-            vs0, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k0 + i))),
-        _mm256_andnot_si256(
-            vs1, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k1 + i))));
-    const __m256i hit = _mm256_cmpeq_epi64(miss, zero);
-    if (!_mm256_testz_si256(hit, hit)) return true;
-  }
-  return AnySubsetScalar(s0, s1, k0 + i, k1 + i, n - i);
-}
-
-#endif  // DEPMINER_DOMINANCE_HAS_AVX2
-
-/// The dispatch table one backend resolves to.
-struct BackendOps {
-  uint64_t (*and_into)(uint64_t*, const uint64_t*, size_t);
-  uint64_t (*andnot_into)(uint64_t*, const uint64_t*, size_t);
-  bool (*any_superset)(uint64_t, uint64_t, const uint64_t*, const uint64_t*,
-                       size_t);
-  bool (*any_subset)(uint64_t, uint64_t, const uint64_t*, const uint64_t*,
-                     size_t);
-};
-
-constexpr BackendOps kScalarOps = {AndIntoScalar, AndNotIntoScalar,
-                                   AnySupersetScalar, AnySubsetScalar};
-#if DEPMINER_DOMINANCE_HAS_AVX2
-constexpr BackendOps kAvx2Ops = {AndIntoAvx2, AndNotIntoAvx2, AnySupersetAvx2,
-                                 AnySubsetAvx2};
-#endif
-
-const BackendOps& OpsFor(DominanceBackend backend) {
-#if DEPMINER_DOMINANCE_HAS_AVX2
-  if (backend == DominanceBackend::kAvx2) return kAvx2Ops;
-#else
-  (void)backend;
-#endif
-  return kScalarOps;
-}
-
-/// The active backend, resolved once from CPUID at first use. Stored as
-/// int (backend value, or -1 for "not yet resolved") so the resolve is a
-/// single relaxed CAS race every thread settles identically.
-std::atomic<int> g_backend{-1};
-
-DominanceBackend ResolveDefaultBackend() {
-  return DominanceBackendSupported(DominanceBackend::kAvx2)
-             ? DominanceBackend::kAvx2
-             : DominanceBackend::kScalar;
-}
-
 }  // namespace
-
-bool DominanceBackendSupported(DominanceBackend backend) {
-  switch (backend) {
-    case DominanceBackend::kScalar:
-      return true;
-    case DominanceBackend::kAvx2:
-#if DEPMINER_DOMINANCE_HAS_AVX2
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-DominanceBackend ActiveDominanceBackend() {
-  int current = g_backend.load(std::memory_order_relaxed);
-  if (current < 0) {
-    const DominanceBackend resolved = ResolveDefaultBackend();
-    int expected = -1;
-    g_backend.compare_exchange_strong(expected, static_cast<int>(resolved),
-                                      std::memory_order_relaxed);
-    current = g_backend.load(std::memory_order_relaxed);
-  }
-  return static_cast<DominanceBackend>(current);
-}
-
-DominanceBackend SetDominanceBackend(DominanceBackend backend) {
-  if (!DominanceBackendSupported(backend)) {
-    backend = DominanceBackend::kScalar;
-  }
-  const DominanceBackend previous = ActiveDominanceBackend();
-  g_backend.store(static_cast<int>(backend), std::memory_order_relaxed);
-  return previous;
-}
-
-const char* ToString(DominanceBackend backend) {
-  switch (backend) {
-    case DominanceBackend::kScalar:
-      return "scalar";
-    case DominanceBackend::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
 
 DominanceIndex::DominanceIndex(const std::vector<AttributeSet>& family,
                                Order order, size_t num_attributes)
@@ -299,7 +100,6 @@ bool DominanceIndex::HasProperSupersetOf(const AttributeSet& s,
   const size_t prefix = strict_prefix_[s.Count()];
   if (prefix == 0) return false;
   const size_t nw = (prefix + 63) / 64;
-  const BackendOps& ops = OpsFor(ActiveDominanceBackend());
   // Start from every strictly-larger id (minus exclusions); each member
   // posting intersected shrinks the survivors to the sets containing all
   // of s. The running OR short-circuits the common case where a few
@@ -316,7 +116,7 @@ bool DominanceIndex::HasProperSupersetOf(const AttributeSet& s,
       const AttributeId a =
           static_cast<AttributeId>(sw * 64 + __builtin_ctzll(bits));
       bits &= bits - 1;
-      any = ops.and_into(scratch, Postings(a), nw);
+      any = AndInto(scratch, Postings(a), nw);
     }
   }
   return any != 0;
@@ -329,7 +129,6 @@ bool DominanceIndex::HasProperSubsetOf(const AttributeSet& s,
   const size_t prefix = strict_prefix_[s.Count()];
   if (prefix == 0) return false;
   const size_t nw = (prefix + 63) / 64;
-  const BackendOps& ops = OpsFor(ActiveDominanceBackend());
   // Start from every strictly-smaller id; knocking out the postings of
   // each attribute *outside* s leaves exactly the sets avoiding
   // everything outside s — the subsets of s. Attributes no indexed set
@@ -348,7 +147,7 @@ bool DominanceIndex::HasProperSubsetOf(const AttributeSet& s,
       const AttributeId a =
           static_cast<AttributeId>(sw * 64 + __builtin_ctzll(bits));
       bits &= bits - 1;
-      any = ops.andnot_into(scratch, Postings(a), nw);
+      any = AndNotInto(scratch, Postings(a), nw);
     }
   }
   return any != 0;
@@ -393,43 +192,15 @@ std::vector<AttributeSet> SurvivorScan(const std::vector<AttributeSet>& sets,
   return out;
 }
 
-/// The batched small-family path: the same incremental survivor scan, but
-/// with the kept sets held as structure-of-arrays word columns so one
-/// candidate is tested against four survivors per step (AVX2) or with
-/// branch-free word algebra (scalar). Output is identical to
-/// `SurvivorScan` — same candidates kept in the same order.
-std::vector<AttributeSet> SurvivorScanBatched(
-    const std::vector<AttributeSet>& sets, bool maximal) {
-  const BackendOps& ops = OpsFor(ActiveDominanceBackend());
-  std::vector<AttributeSet> out;
-  out.reserve(sets.size());
-  std::vector<uint64_t> k0, k1;
-  k0.reserve(sets.size());
-  k1.reserve(sets.size());
-  for (const AttributeSet& s : sets) {
-    const bool dominated =
-        maximal ? ops.any_superset(s.word(0), s.word(1), k0.data(), k1.data(),
-                                   k0.size())
-                : ops.any_subset(s.word(0), s.word(1), k0.data(), k1.data(),
-                                 k0.size());
-    if (!dominated) {
-      out.push_back(s);
-      k0.push_back(s.word(0));
-      k1.push_back(s.word(1));
-    }
-  }
-  return out;
-}
-
-/// Families smaller than this are filtered by the batched survivor scan;
-/// larger ones build the inverted posting index. Measured crossover, not
-/// a guess: on the baseline box (see docs/PERFORMANCE.md and
-/// BENCH_cmax_dominance.json) the batched scan beats the index up to
-/// ~1k sets — index construction costs ~|S| posting writes plus the
-/// bitmap allocation, and its queries only amortize once |S|·|survivors|
-/// word ops dominate. The pre-batching cutoff of 64 made the kernel
-/// *lose* to the plain scan at 64–256 sets (0.52x–0.89x); re-measure with
-/// `scripts/bench_cmax.sh` when touching either path.
+/// Families smaller than this (after deduplication) run the survivor
+/// scan; larger ones build the inverted posting index. Measured, not
+/// guessed: `bench_ablation_dominance` times each path alone at every
+/// size (BENCH_cmax_dominance.json, docs/PERFORMANCE.md). The scan wins
+/// up to ~256 sets and the two tie around 512 — index construction costs
+/// ~|S| posting writes plus the bitmap allocation, and its queries only
+/// amortize once |S|·|survivors| word ops dominate — while the index
+/// leads from 1024 on. Re-measure with `scripts/bench_cmax.sh` when
+/// touching either path.
 constexpr size_t kIndexCutoff = 1024;
 
 std::vector<AttributeSet> FilterDominated(std::vector<AttributeSet> sets,
@@ -441,7 +212,7 @@ std::vector<AttributeSet> FilterDominated(std::vector<AttributeSet> sets,
                                ? "dominance_family_size/scan"
                                : "dominance_family_size/indexed",
                            sets.size());
-  if (sets.size() < kIndexCutoff) return SurvivorScanBatched(sets, maximal);
+  if (sets.size() < kIndexCutoff) return SurvivorScan(sets, maximal);
   DEPMINER_TRACE_COUNTER("dominance.index_queries", sets.size());
   const DominanceIndex index(sets, maximal
                                        ? DominanceIndex::Order::kNonIncreasing

@@ -8,31 +8,6 @@
 
 namespace depminer {
 
-/// Instruction-set backend for the dominance kernel's batched bitmap
-/// loops (posting intersections and the SoA survivor scan). The scalar
-/// path is the semantic oracle; wider backends must produce bit-identical
-/// survivors, which the dominance tests enforce on random families and
-/// the corpus determinism suite enforces end to end across all miners.
-enum class DominanceBackend {
-  kScalar,  ///< portable 64-bit words, 4-way unrolled
-  kAvx2,    ///< 256-bit AVX2 lanes (4 id-bitmap words per op)
-};
-
-/// True when the host CPU can execute `backend` (kScalar always can).
-bool DominanceBackendSupported(DominanceBackend backend);
-
-/// The backend the kernel is currently dispatching to. Resolved once at
-/// first use: AVX2 when the CPU supports it, scalar otherwise.
-DominanceBackend ActiveDominanceBackend();
-
-/// Forces the kernel onto `backend` (silently falling back to scalar if
-/// the CPU lacks it) and returns the previously active backend. Used by
-/// the scalar-vs-SIMD differential tests and benches; thread-safe, but
-/// flipping it mid-query only affects subsequent queries.
-DominanceBackend SetDominanceBackend(DominanceBackend backend);
-
-const char* ToString(DominanceBackend backend);
-
 /// Subset-dominance kernel: an inverted index over a family of attribute
 /// sets that answers "does the family contain a proper superset (resp.
 /// subset) of X?" in O(postings) bitmap words instead of O(|S|) pairwise
@@ -55,6 +30,11 @@ const char* ToString(DominanceBackend backend);
 /// and the prefix boundary per cardinality is precomputed. Because the
 /// family is deduplicated, no equal-cardinality set can dominate X, so
 /// the strict prefix needs no self-exclusion bookkeeping.
+///
+/// Queries run plain 64-bit word loops, four words per step. There is no
+/// SIMD variant: CMAX on the paper-scale point probes an index of ~105
+/// sets, two words per bitmap (docs/PERFORMANCE.md, "The dominance
+/// kernel").
 ///
 /// The index is immutable after construction: concurrent queries from
 /// parallel lanes are safe as long as each lane owns its scratch buffer.
@@ -119,12 +99,10 @@ class DominanceIndex {
 };
 
 /// Reference quadratic implementations of the Max⊆ / Min⊆ filters: the
-/// plain incremental survivor scan the kernel replaced. Retained as the
-/// oracle for the dominance property tests and as the baseline the
-/// `bench_ablation_dominance` ablation measures against. (The kernel's
-/// own small-family path is the *batched* survivor scan — same survivors,
-/// SoA word columns, backend-dispatched — so the dispatch never regresses
-/// below this baseline; see the measured cutoff in dominance.cc.)
+/// incremental survivor scan. `MaximalSets` / `MinimalSets` run this
+/// same scan for families below the index cutoff (see dominance.cc), so
+/// above it these are the oracle the dominance property tests check the
+/// index against, and the baseline `bench_ablation_dominance` measures.
 /// Semantics are identical to `MaximalSets` / `MinimalSets` (see
 /// attribute_set.h), including output order.
 std::vector<AttributeSet> MaximalSetsNaive(std::vector<AttributeSet> sets);

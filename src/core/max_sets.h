@@ -49,13 +49,15 @@ struct MaxSetResult {
 ///
 /// One shared pass instead of n independent quadratic scans: the
 /// agree-set family is sorted by descending cardinality once and indexed
-/// by one global `DominanceIndex`; each attribute's max(dep(r), A) is
-/// then derived read-only against that index (candidates = sets avoiding
-/// A, survivors = candidates with no proper superset avoiding A), so the
-/// per-attribute derivations parallelize across `num_threads` pool lanes
-/// with bit-identical output for any thread count — every attribute's
-/// family is a pure function of ag(r), finalized by the canonical
-/// `SortSets`.
+/// by one global `DominanceIndex`, whatever its size (unlike
+/// `MaximalSets`, this stage has no small-family scan; on the paper's
+/// 25k × 15 point ag(r) holds ~105 sets, two bitmap words per probe).
+/// Each attribute's max(dep(r), A) is then derived read-only against
+/// that index (candidates = sets avoiding A, survivors = candidates with
+/// no proper superset avoiding A), so the per-attribute derivations
+/// parallelize across `num_threads` pool lanes with bit-identical output
+/// for any thread count — every attribute's family is a pure function of
+/// ag(r), finalized by the canonical `SortSets`.
 ///
 /// `ctx` (optional) governs the run: the family, index and per-lane
 /// scratch buffers are charged against its memory budget up front, and

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "common/log.h"
+#include "common/mining_options.h"
 #include "common/parallel.h"
 #include "common/run_context.h"
 #include "common/strings.h"
@@ -41,11 +42,6 @@ uint64_t ElapsedNs(Clock::time_point since) {
 
 /// The poll/recv tick: how often idle paths recheck the shutdown latch.
 constexpr int kTickMs = 100;
-
-bool KnownAlgorithm(const std::string& algo) {
-  return algo == "depminer" || algo == "depminer2" || algo == "tane" ||
-         algo == "fastfds" || algo == "fdep";
-}
 
 std::string ParamOr(const Request& request, const char* key,
                     const std::string& fallback) {
@@ -420,10 +416,9 @@ std::string Server::DoMine(const Request& request) {
   }
   const std::string& name = request.positional[0];
   const std::string algo = ParamOr(request, "algo", "depminer");
-  if (!KnownAlgorithm(algo)) {
+  if (!IsKnownMiner(algo)) {
     return FormatError(Status::InvalidArgument(
-        "unknown algo '" + algo +
-        "' (depminer|depminer2|tane|fastfds|fdep)"));
+        "unknown algo '" + algo + "' (" + kMinerNames + ")"));
   }
   MiningOptions mining;
   uint64_t arity = 0, topk = 0, timeout_ms = 0, budget_mb = 0;

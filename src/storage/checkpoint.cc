@@ -322,13 +322,21 @@ Result<CheckpointedMineResult> MineCsvWithCheckpoints(
   JobCheckpoint ckpt;
   {
     Result<JobCheckpoint> loaded = JobCheckpoint::Load(out.checkpoint_path);
+    // No file bytes back the tuple count (stripped classes omit
+    // singletons), yet the agree phase sizes its label table by it. Every
+    // CSV record takes at least one byte, so a count above the file's
+    // size is doctored.
+    struct stat csv_stat {};
     if (loaded.ok() && loaded.value().fingerprint == fp.value() &&
-        loaded.value().algorithm == options.algorithm) {
+        loaded.value().algorithm == options.algorithm &&
+        ::stat(path.c_str(), &csv_stat) == 0 &&
+        loaded.value().num_tuples <= static_cast<uint64_t>(csv_stat.st_size)) {
       ckpt = std::move(loaded).value();
       out.resumed_from = ckpt.phase;
     }
     // Missing, corrupt, or mismatched (the path collided but the content
-    // key disagrees): mine afresh; the first boundary save overwrites it.
+    // key or the tuple count disagrees): mine afresh; the first boundary
+    // save overwrites it.
   }
 
   RunContext* ctx = options.run_context;

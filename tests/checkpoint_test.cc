@@ -345,6 +345,46 @@ TEST_F(CheckpointedMine, ContentChangeInvalidatesTheJob) {
   std::remove(second.value().checkpoint_path.c_str());
 }
 
+TEST_F(CheckpointedMine, DoctoredTupleCountMinesAfresh) {
+  // A kStrip checkpoint of this very job whose tuple count (a field no
+  // file bytes back: stripped classes omit singletons) is raised to 2^36.
+  // It loads, but resuming from it would size the agree phase's label
+  // table by that count; it must be treated as mismatched instead.
+  Result<CheckpointedMineResult> first =
+      MineCsvWithCheckpoints(csv_path_, Options(1));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const std::string path = first.value().checkpoint_path;
+  JobCheckpoint strip;
+  strip.fingerprint = first.value().fingerprint;
+  strip.algorithm = AgreeSetAlgorithm::kCouples;
+  strip.phase = MinePhase::kStrip;
+  strip.schema = relation_.schema();
+  strip.num_tuples = relation_.num_tuples();
+  strip.partitions = StrippedPartitionDatabase::FromRelation(relation_);
+  ASSERT_TRUE(strip.Save(path).ok());
+  // The tuple count sits right after the header's length-prefixed names.
+  size_t header = 4 + 4 + 16 + 4 + 4 + 4;
+  for (const std::string& name : relation_.schema().names()) {
+    header += 4 + name.size();
+  }
+  std::string bytes = ReadFileBytes(path);
+  PutLe(&bytes, header, uint64_t{1} << 36, 8);
+  WriteFileBytes(path, bytes);
+  Result<JobCheckpoint> doctored = JobCheckpoint::Load(path);
+  ASSERT_TRUE(doctored.ok()) << doctored.status().ToString();
+  ASSERT_EQ(doctored.value().phase, MinePhase::kStrip);
+  ASSERT_EQ(doctored.value().num_tuples, uint64_t{1} << 36);
+
+  Result<CheckpointedMineResult> resumed =
+      MineCsvWithCheckpoints(csv_path_, Options(1));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed.value().complete);
+  EXPECT_EQ(resumed.value().resumed_from, MinePhase::kNone);
+  EXPECT_EQ(resumed.value().num_tuples, relation_.num_tuples());
+  EXPECT_EQ(resumed.value().fds.fds(), reference_.fds());
+  std::remove(path.c_str());
+}
+
 #if DEPMINER_FAULTS_ENABLED
 
 /// Interrupt the pipeline at a given stage (via an injected allocation

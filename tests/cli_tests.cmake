@@ -233,6 +233,14 @@ add_test(NAME cli.delimiter
         -DWORK=${CMAKE_CURRENT_BINARY_DIR}
         -P ${CMAKE_CURRENT_SOURCE_DIR}/cli_delimiter_test.cmake)
 
+# An unknown --algo is a usage error naming the miners, never a silent
+# Dep-Miner run.
+add_test(NAME cli.unknown_algo
+    COMMAND ${CMAKE_COMMAND}
+        -DFDTOOL=$<TARGET_FILE:fdtool>
+        -DDATA=${DATA}
+        -P ${CMAKE_CURRENT_SOURCE_DIR}/cli_unknown_algo_test.cmake)
+
 add_test(NAME cli.catalog
     COMMAND ${CMAKE_COMMAND}
         -DFDTOOL=$<TARGET_FILE:fdtool>

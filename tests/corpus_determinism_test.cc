@@ -1,8 +1,7 @@
 // The tentpole safety net: on every dataset shape of the paper-scale
-// corpus (run at a seconds-cheap scale), every miner must produce a
-// bit-identical cover (1) at 1, 2 and 8 threads — the morsel engine's
-// merge-in-morsel-order guarantee — and (2) under the scalar and AVX2
-// dominance backends — the kernel's observational-equivalence guarantee.
+// corpus (run at a seconds-cheap scale), every threaded miner must
+// produce a bit-identical cover at 1, 2 and 8 threads — the morsel
+// engine's merge-in-morsel-order guarantee.
 // The full-size corpus gets the same thread-count check on every
 // bench_scale run (scripts/bench_scale.sh refuses to report times for
 // non-identical results); this suite keeps the property in the ctest
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/dominance.h"
 #include "datagen/synthetic.h"
 #include "verify/miners.h"
 
@@ -57,36 +55,6 @@ TEST(CorpusDeterminism, EveryMinerBitIdenticalAcrossThreadCounts) {
       }
     }
   }
-}
-
-TEST(CorpusDeterminism, EveryMinerBitIdenticalAcrossDominanceBackends) {
-  if (!DominanceBackendSupported(DominanceBackend::kAvx2)) {
-    GTEST_SKIP() << "host CPU lacks AVX2; only the scalar backend exists";
-  }
-  const DominanceBackend previous =
-      SetDominanceBackend(DominanceBackend::kScalar);
-  for (const CorpusSpec& spec : TestCorpus()) {
-    Result<Relation> data = GenerateSynthetic(spec.config);
-    ASSERT_TRUE(data.ok()) << spec.name << ": " << data.status().ToString();
-    for (const MinerConfig& miner : AllMiners()) {
-      // FDEP's specialization is quadratic in the cover, and the wide
-      // dense_attrs45 point's near-key shape yields a half-million-FD
-      // cover — two FDEP runs there add minutes for a kernel-equivalence
-      // property the other grid shapes (and the dominance unit suite)
-      // already pin down.
-      if (miner.name == "fdep" && spec.config.num_attributes > 40) continue;
-      SetDominanceBackend(DominanceBackend::kScalar);
-      const std::string scalar =
-          CoverSignature(miner.run(data.value(), 2, nullptr));
-      SetDominanceBackend(DominanceBackend::kAvx2);
-      const std::string avx2 =
-          CoverSignature(miner.run(data.value(), 2, nullptr));
-      EXPECT_EQ(scalar, avx2)
-          << miner.name << " diverged across dominance backends on "
-          << spec.name;
-    }
-  }
-  SetDominanceBackend(previous);
 }
 
 }  // namespace

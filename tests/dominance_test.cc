@@ -134,25 +134,34 @@ TEST(Dominance, EmptyFamilyAnswersNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel entry points vs the retained naive reference. Families are
-// sized well above the small-family cutoff so the index path is the one
-// under test; the naive scan is the oracle (its body is the pre-kernel
-// implementation verbatim).
+// Kernel entry points vs the naive reference scan, the oracle. Below the
+// index cutoff (1024 distinct sets) `MaximalSets` / `MinimalSets` run
+// that same scan, so only families at or above it put the posting index
+// under test. `KernelMatchesNaiveOnRandomFamilies` sizes families on
+// both sides; the other cases draw 1,500 sets.
 
 class DominanceProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DominanceProperty, KernelMatchesNaiveOnRandomFamilies) {
-  for (const size_t attrs : {8ul, 24ul, 60ul, 128ul}) {
-    std::vector<AttributeSet> family = RandomFamily(500, attrs, GetParam());
-    EXPECT_EQ(MaximalSets(family), MaximalSetsNaive(family))
-        << "Max⊆ mismatch at " << attrs << " attributes";
-    EXPECT_EQ(MinimalSets(family), MinimalSetsNaive(family))
-        << "Min⊆ mismatch at " << attrs << " attributes";
+  // 40 and 500 sets take the survivor scan. 2000 builds the index, except
+  // at 8 attributes, where at most 256 distinct sets exist.
+  for (const size_t size : {40ul, 500ul, 2000ul}) {
+    for (const size_t attrs : {8ul, 24ul, 60ul, 128ul}) {
+      std::vector<AttributeSet> family = RandomFamily(size, attrs, GetParam());
+      EXPECT_EQ(MaximalSets(family), MaximalSetsNaive(family))
+          << "Max⊆ mismatch at " << size << " sets, " << attrs
+          << " attributes";
+      EXPECT_EQ(MinimalSets(family), MinimalSetsNaive(family))
+          << "Min⊆ mismatch at " << size << " sets, " << attrs
+          << " attributes";
+    }
   }
 }
 
 TEST_P(DominanceProperty, KernelMatchesNaiveWithDuplicatesAndEmptySet) {
-  std::vector<AttributeSet> family = RandomFamily(300, 16, GetParam());
+  // 1,500 draws over 24 attributes stay above the index cutoff after
+  // deduplication.
+  std::vector<AttributeSet> family = RandomFamily(1500, 24, GetParam());
   // Inject duplicates of existing members and several empty sets.
   Rng rng(GetParam() ^ 0xD0D0);
   for (size_t i = 0; i < 100; ++i) {
@@ -160,7 +169,7 @@ TEST_P(DominanceProperty, KernelMatchesNaiveWithDuplicatesAndEmptySet) {
   }
   family.push_back(AttributeSet());
   family.push_back(AttributeSet());
-  family.push_back(AttributeSet::Universe(16));
+  family.push_back(AttributeSet::Universe(24));
   EXPECT_EQ(MaximalSets(family), MaximalSetsNaive(family));
   EXPECT_EQ(MinimalSets(family), MinimalSetsNaive(family));
 }
@@ -169,7 +178,7 @@ TEST_P(DominanceProperty, KernelMatchesNaiveOnEqualCardinalityFamilies) {
   // All-equal cardinality: nothing dominates anything; every distinct
   // set must survive both filters.
   std::vector<AttributeSet> family =
-      EqualCardinalityFamily(400, 32, 7, GetParam());
+      EqualCardinalityFamily(1500, 32, 7, GetParam());
   const std::vector<AttributeSet> max = MaximalSets(family);
   const std::vector<AttributeSet> min = MinimalSets(family);
   EXPECT_EQ(max, MaximalSetsNaive(family));
@@ -185,7 +194,7 @@ TEST_P(DominanceProperty, KernelMatchesNaiveOnEqualCardinalityFamilies) {
 TEST_P(DominanceProperty, KernelMatchesNaiveOnWideSets) {
   // 128-attribute schemas exercise both words of the bitset and posting
   // rows in the second word range.
-  std::vector<AttributeSet> family = RandomFamily(256, 128, GetParam());
+  std::vector<AttributeSet> family = RandomFamily(1500, 128, GetParam());
   family.push_back(AttributeSet::Universe(128));
   EXPECT_EQ(MaximalSets(family), MaximalSetsNaive(family));
   EXPECT_EQ(MinimalSets(family), MinimalSetsNaive(family));
@@ -195,9 +204,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DominanceProperty,
                          ::testing::Range<uint64_t>(0, 12));
 
 // ---------------------------------------------------------------------------
-// Survivor semantics on small, hand-checked families (these take the
-// small-family scan path; the same cases ride through the kernel path in
-// the property tests above).
+// Survivor semantics on small families, checked against the definition
+// rather than the oracle scan (200 sets, so the scan path serves them;
+// the index path is checked against the oracle above).
 
 TEST(Dominance, MaximalSurvivorsAreMutuallyIncomparable) {
   std::vector<AttributeSet> family = RandomFamily(200, 12, 7);
@@ -235,101 +244,6 @@ TEST(Dominance, MinimalSurvivorsCoverEveryInputFromBelow) {
       }
     }
     EXPECT_TRUE(covered) << s.ToString() << " not covered";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Backend dispatch. The scalar path is the semantic oracle; the AVX2
-// path must produce bit-identical survivors through both the batched
-// small-family scan and the posting-index path (family sizes straddle
-// the crossover so both dispatch branches run under both backends).
-
-/// Restores the previously active backend on scope exit so a failing
-/// assertion can't leak a forced backend into later tests.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(DominanceBackend backend)
-      : previous_(SetDominanceBackend(backend)) {}
-  ~ScopedBackend() { SetDominanceBackend(previous_); }
-
- private:
-  DominanceBackend previous_;
-};
-
-TEST(DominanceBackend_, ScalarAlwaysSupportedAndForcible) {
-  EXPECT_TRUE(DominanceBackendSupported(DominanceBackend::kScalar));
-  ScopedBackend forced(DominanceBackend::kScalar);
-  EXPECT_EQ(ActiveDominanceBackend(), DominanceBackend::kScalar);
-}
-
-TEST(DominanceBackend_, UnsupportedBackendFallsBackToScalar) {
-  if (DominanceBackendSupported(DominanceBackend::kAvx2)) {
-    GTEST_SKIP() << "AVX2 available; fallback path not reachable here";
-  }
-  const DominanceBackend previous =
-      SetDominanceBackend(DominanceBackend::kAvx2);
-  EXPECT_EQ(ActiveDominanceBackend(), DominanceBackend::kScalar);
-  SetDominanceBackend(previous);
-}
-
-TEST(DominanceBackend_, Avx2MatchesScalarOnRandomFamilies) {
-  if (!DominanceBackendSupported(DominanceBackend::kAvx2)) {
-    GTEST_SKIP() << "host CPU lacks AVX2";
-  }
-  for (const uint64_t seed : {3ull, 17ull, 92ull}) {
-    // 40 and 300 stay on the batched scan; 2000 crosses into the index.
-    for (const size_t size : {40ul, 300ul, 2000ul}) {
-      for (const size_t attrs : {8ul, 24ul, 128ul}) {
-        std::vector<AttributeSet> family = RandomFamily(size, attrs, seed);
-        std::vector<AttributeSet> max_scalar, min_scalar, max_avx2, min_avx2;
-        {
-          ScopedBackend forced(DominanceBackend::kScalar);
-          max_scalar = MaximalSets(family);
-          min_scalar = MinimalSets(family);
-        }
-        {
-          ScopedBackend forced(DominanceBackend::kAvx2);
-          max_avx2 = MaximalSets(family);
-          min_avx2 = MinimalSets(family);
-        }
-        EXPECT_EQ(max_scalar, max_avx2)
-            << "Max⊆ backend divergence: size=" << size << " attrs=" << attrs
-            << " seed=" << seed;
-        EXPECT_EQ(min_scalar, min_avx2)
-            << "Min⊆ backend divergence: size=" << size << " attrs=" << attrs
-            << " seed=" << seed;
-      }
-    }
-  }
-}
-
-TEST(DominanceBackend_, Avx2MatchesScalarOnDirectIndexQueries) {
-  if (!DominanceBackendSupported(DominanceBackend::kAvx2)) {
-    GTEST_SKIP() << "host CPU lacks AVX2";
-  }
-  std::vector<AttributeSet> family = RandomFamily(600, 20, 51);
-  std::sort(family.begin(), family.end());
-  family.erase(std::unique(family.begin(), family.end()), family.end());
-  std::stable_sort(family.begin(), family.end(),
-                   [](const AttributeSet& a, const AttributeSet& b) {
-                     return a.Count() > b.Count();
-                   });
-  const DominanceIndex index(family, DominanceIndex::Order::kNonIncreasing);
-  std::vector<uint64_t> scratch(index.words_per_bitmap());
-  const std::vector<AttributeSet> probes = RandomFamily(200, 20, 52);
-  for (const AttributeSet& probe : probes) {
-    bool scalar_answer, avx2_answer;
-    {
-      ScopedBackend forced(DominanceBackend::kScalar);
-      scalar_answer =
-          index.HasProperSupersetOf(probe, nullptr, scratch.data());
-    }
-    {
-      ScopedBackend forced(DominanceBackend::kAvx2);
-      avx2_answer = index.HasProperSupersetOf(probe, nullptr, scratch.data());
-    }
-    EXPECT_EQ(scalar_answer, avx2_answer)
-        << "superset query divergence on " << probe.ToString();
   }
 }
 
