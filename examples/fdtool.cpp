@@ -233,14 +233,6 @@ Result<Relation> Load(const ArgParser& args) {
   return ReadCsvRelation(path, CsvFlags(args));
 }
 
-/// What a mining command needs back: the FDs plus how the run ended.
-struct MineOutcome {
-  FdSet fds;
-  bool complete = true;
-  Status run_status;
-  std::string stats;  ///< one-line stats of the (possibly partial) run
-};
-
 /// The --threads flag: 1 (serial) by default, 0 means "all cores".
 size_t ThreadsFlag(const ArgParser& args) {
   const int64_t t = args.GetInt("threads", 1);
@@ -260,69 +252,9 @@ MiningOptions MiningFlags(const ArgParser& args) {
   return mining;
 }
 
-Result<MineOutcome> Mine(const Relation& relation, const std::string& algo,
-                         size_t num_threads = 1,
-                         const MiningOptions& mining = {},
-                         PartitionCache* cache = nullptr) {
-  MineOutcome out;
-  if (algo == "tane") {
-    TaneOptions options;
-    options.num_threads = num_threads;
-    options.run_context = &g_run_context;
-    options.mining = mining;
-    options.partition_cache = cache;
-    Result<TaneResult> tane = TaneDiscover(relation, options);
-    if (!tane.ok()) return tane.status();
-    out.fds = std::move(tane.value().fds);
-    out.complete = tane.value().complete;
-    out.run_status = tane.value().run_status;
-    out.stats = tane.value().stats.ToString();
-    return out;
-  }
-  if (algo == "fastfds") {
-    FastFdsOptions options;
-    options.run_context = &g_run_context;
-    options.mining = mining;
-    Result<FastFdsResult> fast = FastFdsDiscover(relation, options);
-    if (!fast.ok()) return fast.status();
-    out.fds = std::move(fast.value().fds);
-    out.complete = fast.value().complete;
-    out.run_status = fast.value().run_status;
-    out.stats = fast.value().stats.ToString();
-    return out;
-  }
-  if (algo == "fdep") {
-    FdepOptions options;
-    options.run_context = &g_run_context;
-    options.mining = mining;
-    Result<FdepResult> fdep = FdepDiscover(relation, options);
-    if (!fdep.ok()) return fdep.status();
-    out.fds = std::move(fdep.value().fds);
-    out.complete = fdep.value().complete;
-    out.run_status = fdep.value().run_status;
-    out.stats = fdep.value().stats.ToString();
-    return out;
-  }
-  DepMinerOptions options;
-  options.build_armstrong = false;
-  options.num_threads = num_threads;
-  options.run_context = &g_run_context;
-  options.mining = mining;
-  options.agree_set_algorithm = algo == "depminer2"
-                                    ? AgreeSetAlgorithm::kIdentifiers
-                                    : AgreeSetAlgorithm::kCouples;
-  Result<DepMinerResult> mined = MineDependencies(relation, options);
-  if (!mined.ok()) return mined.status();
-  out.fds = std::move(mined.value().fds);
-  out.complete = mined.value().complete;
-  out.run_status = mined.value().run_status;
-  out.stats = mined.value().stats.ToString();
-  return out;
-}
-
 /// Parses "A,B->C" using attribute names (or single letters for default
 /// schemas).
-Result<FunctionalDependency> ParseFd(const Relation& relation,
+Result<FunctionalDependency> ParseFd(const Schema& schema,
                                      const std::string& text) {
   const size_t arrow = text.find("->");
   if (arrow == std::string::npos) {
@@ -335,66 +267,42 @@ Result<FunctionalDependency> ParseFd(const Relation& relation,
   for (const std::string& raw : Split(lhs_text, ',')) {
     const std::string name = std::string(StripAsciiWhitespace(raw));
     if (name.empty()) continue;
-    Result<AttributeId> id = relation.schema().Find(name);
+    Result<AttributeId> id = schema.Find(name);
     if (!id.ok()) return id.status();
     fd.lhs.Add(id.value());
   }
-  Result<AttributeId> rhs = relation.schema().Find(rhs_text);
+  Result<AttributeId> rhs = schema.Find(rhs_text);
   if (!rhs.ok()) return rhs.status();
   fd.rhs = rhs.value();
   return fd;
 }
 
 int CmdMine(const Relation& relation, const ArgParser& args) {
-  const std::string algo = args.GetString("algo", "depminer");
-  const size_t num_threads = ThreadsFlag(args);
   const MiningOptions mining = MiningFlags(args);
-  // TANE memoizes its partition products through the cache (and emits the
-  // hit-rate counters); the top-k ranking pass probes the same cache, so
-  // π̂_lhs chains the lattice walk already built come back for free.
-  std::optional<StrippedPartitionDatabase> db;
-  std::optional<PartitionCache> cache;
-  if (algo == "tane" || mining.top_k != 0) {
-    db.emplace(StrippedPartitionDatabase::FromRelation(relation, num_threads));
-    PartitionCache::Config config;
-    config.run_context = &g_run_context;
-    cache.emplace(&*db, config);
-  }
-  Result<MineOutcome> mined = Mine(relation, algo, num_threads, mining,
-                                   cache.has_value() ? &*cache : nullptr);
+  Result<MineOutcome> mined =
+      MineByName(relation, args.GetString("algo", "depminer"),
+                 {ThreadsFlag(args), &g_run_context, mining});
   if (!mined.ok()) {
     std::fprintf(stderr, "error: %s\n", mined.status().ToString().c_str());
     return 1;
   }
   const MineOutcome& outcome = mined.value();
-  const std::string out = args.GetString("out", "");
-  std::vector<RankedFd> ranked;
-  if (mining.top_k != 0) {
-    ranked = RankFds(outcome.fds, *db, mining.top_k,
-                     cache.has_value() ? &*cache : nullptr)
-                 .ranked;
-  }
-  if (!out.empty()) {
-    FdSet to_save = outcome.fds;
-    if (mining.top_k != 0) {
+  {
+    PhaseTimer render_timer("phase/render", nullptr);
+    const std::string out = args.GetString("out", "");
+    if (out.empty()) {
+      std::fputs(RenderCover(outcome, relation.schema()).c_str(), stdout);
+    } else {
       std::vector<FunctionalDependency> kept;
-      kept.reserve(ranked.size());
-      for (const RankedFd& rf : ranked) kept.push_back(rf.fd);
-      to_save = FdSet(relation.num_attributes(), kept);
-    }
-    Status st = SaveFdSet(to_save, relation.schema(), out);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-  } else if (mining.top_k != 0) {
-    for (const RankedFd& rf : ranked) {
-      std::printf("%s  # redundancy=%zu\n",
-                  rf.fd.ToString(relation.schema()).c_str(), rf.redundancy);
-    }
-  } else {
-    for (const FunctionalDependency& fd : outcome.fds.fds()) {
-      std::printf("%s\n", fd.ToString(relation.schema()).c_str());
+      for (const RankedFd& rf : outcome.ranked) kept.push_back(rf.fd);
+      const Status st = SaveFdSet(
+          mining.top_k == 0 ? outcome.fds
+                            : FdSet(relation.num_attributes(), kept),
+          relation.schema(), out);
+      if (!st.ok()) {
+        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+        return 1;
+      }
     }
   }
   if (!outcome.complete) {
@@ -464,9 +372,7 @@ int CmdMineCheckpointed(const ArgParser& args) {
       return 1;
     }
   } else {
-    for (const FunctionalDependency& fd : outcome.fds.fds()) {
-      std::printf("%s\n", fd.ToString(outcome.schema).c_str());
-    }
+    std::fputs(RenderCover(outcome.fds, outcome.schema).c_str(), stdout);
   }
   if (!outcome.complete) {
     Log(LogLevel::kWarn, "checkpoint",
@@ -574,7 +480,8 @@ int CmdArmstrong(const Relation& relation, const ArgParser& args) {
 }
 
 int CmdKeys(const Relation& relation) {
-  Result<MineOutcome> mined = Mine(relation, "depminer");
+  Result<MineOutcome> mined =
+      MineByName(relation, "depminer", {1, &g_run_context, {}});
   if (!mined.ok()) {
     std::fprintf(stderr, "error: %s\n", mined.status().ToString().c_str());
     return 1;
@@ -593,7 +500,8 @@ int CmdKeys(const Relation& relation) {
 }
 
 int CmdNormalize(const Relation& relation) {
-  Result<MineOutcome> mined = Mine(relation, "depminer");
+  Result<MineOutcome> mined =
+      MineByName(relation, "depminer", {1, &g_run_context, {}});
   if (!mined.ok()) {
     std::fprintf(stderr, "error: %s\n", mined.status().ToString().c_str());
     return 1;
@@ -617,7 +525,8 @@ int CmdNormalize(const Relation& relation) {
 
 int CmdVerify(const Relation& relation, const ArgParser& args) {
   if (args.positional().size() < 3) return Usage();
-  Result<FunctionalDependency> fd = ParseFd(relation, args.positional()[2]);
+  Result<FunctionalDependency> fd =
+      ParseFd(relation.schema(), args.positional()[2]);
   if (!fd.ok()) {
     std::fprintf(stderr, "error: %s\n", fd.status().ToString().c_str());
     return 1;
@@ -640,7 +549,8 @@ int CmdVerify(const Relation& relation, const ArgParser& args) {
 
 int CmdRepair(const Relation& relation, const ArgParser& args) {
   if (args.positional().size() < 3) return Usage();
-  Result<FunctionalDependency> fd = ParseFd(relation, args.positional()[2]);
+  Result<FunctionalDependency> fd =
+      ParseFd(relation.schema(), args.positional()[2]);
   if (!fd.ok()) {
     std::fprintf(stderr, "error: %s\n", fd.status().ToString().c_str());
     return 1;
@@ -756,31 +666,18 @@ int CmdImplies(const ArgParser& args) {
     std::fprintf(stderr, "error: %s\n", fds.status().ToString().c_str());
     return 1;
   }
-  const std::string& text = args.positional()[2];
-  const size_t arrow = text.find("->");
-  if (arrow == std::string::npos) {
-    std::fprintf(stderr, "error: expected 'lhs->rhs' in '%s'\n",
-                 text.c_str());
+  Result<FunctionalDependency> fd = ParseFd(schema, args.positional()[2]);
+  if (!fd.ok()) {
+    // `implies` has always printed a malformed query without its code.
+    const Status& st = fd.status();
+    std::fprintf(stderr, "error: %s\n",
+                 (st.code() == StatusCode::kInvalidArgument ? st.message()
+                                                            : st.ToString())
+                     .c_str());
     return 1;
   }
-  AttributeSet lhs;
-  for (const std::string& raw : Split(text.substr(0, arrow), ',')) {
-    const std::string name = std::string(StripAsciiWhitespace(raw));
-    if (name.empty()) continue;
-    Result<AttributeId> id = schema.Find(name);
-    if (!id.ok()) {
-      std::fprintf(stderr, "error: %s\n", id.status().ToString().c_str());
-      return 1;
-    }
-    lhs.Add(id.value());
-  }
-  Result<AttributeId> rhs =
-      schema.Find(std::string(StripAsciiWhitespace(text.substr(arrow + 2))));
-  if (!rhs.ok()) {
-    std::fprintf(stderr, "error: %s\n", rhs.status().ToString().c_str());
-    return 1;
-  }
-  const Derivation d = ExplainImplication(fds.value(), lhs, rhs.value());
+  const Derivation d =
+      ExplainImplication(fds.value(), fd.value().lhs, fd.value().rhs);
   std::printf("%s", d.ToString(schema).c_str());
   return d.implied ? 0 : 1;
 }
@@ -1226,7 +1123,7 @@ int main(int argc, char** argv) {
   }
   if (args.Has("algo") && !IsKnownMiner(args.GetString("algo", ""))) {
     std::fprintf(stderr, "error: unknown --algo \"%s\" (%s)\n",
-                 args.GetString("algo", "").c_str(), kMinerNames);
+                 args.GetString("algo", "").c_str(), MinerNames().c_str());
     return 2;
   }
   if (args.Has("delimiter")) {

@@ -2,13 +2,6 @@
 
 namespace depminer {
 
-const char* const kMinerNames = "depminer|depminer2|tane|fastfds|fdep";
-
-bool IsKnownMiner(const std::string& name) {
-  return name == "depminer" || name == "depminer2" || name == "tane" ||
-         name == "fastfds" || name == "fdep";
-}
-
 Status MiningOptions::Validate() const {
   if (max_g3_error < 0.0 || max_g3_error >= 1.0) {
     return Status::InvalidArgument("max_g3_error must be in [0, 1)");

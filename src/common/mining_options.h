@@ -1,19 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "common/status.h"
 
 namespace depminer {
-
-/// The miners a caller can name, as `fdtool --algo=` and the daemon's
-/// `MINE algo=` accept them, joined by '|':
-/// "depminer|depminer2|tane|fastfds|fdep".
-extern const char* const kMinerNames;
-
-/// True iff `name` is one of `kMinerNames`.
-bool IsKnownMiner(const std::string& name);
 
 /// The cross-miner search-space pruning knobs, embedded by every miner's
 /// option struct (`DepMinerOptions::mining`, `TaneOptions::mining`,

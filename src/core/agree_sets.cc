@@ -218,6 +218,16 @@ Status TripStatus(const RunContext* ctx) {
   return Status::Cancelled("agree-set computation interrupted");
 }
 
+/// Charges `bytes`, which r̂ alone fixes, before the phase allocates them
+/// and polls the run's one `alloc/agree` site, so a budget or an injected
+/// allocation failure stops the phase before its first large allocation.
+Status ChargeBeforeBuilding(ScopedMemoryCharge* memory, size_t bytes,
+                            RunContext* ctx) {
+  memory->Set(bytes);
+  DEPMINER_FAULT_ALLOC("alloc/agree", ctx);
+  return ctx != nullptr && ctx->limited() ? ctx->Check() : Status::OK();
+}
+
 }  // namespace
 
 std::vector<AttributeSet> AgreeSetResult::All() const {
@@ -293,6 +303,12 @@ AgreeSetResult ComputeAgreeSetsCouples(const StrippedPartitionDatabase& db,
   result.chunks_processed = 0;
 
   const size_t num_threads = std::max<size_t>(1, options.num_threads);
+  RunContext* ctx = options.run_context;
+  ScopedMemoryCharge memory(ctx);
+  result.working_bytes = ClassLabelTable::BytesFor(db);
+  result.status = ChargeBeforeBuilding(&memory, result.working_bytes, ctx);
+  if (!result.status.ok()) return result;
+
   // Each tuple's class labels, one padded row per tuple: MC and every
   // couple's agree set are both read off this one table.
   const ClassLabelTable labels = [&] {
@@ -323,11 +339,8 @@ AgreeSetResult ComputeAgreeSetsCouples(const StrippedPartitionDatabase& db,
   // Charged so a memory budget can veto the run before the chunk loop.
   result.working_bytes =
       labels.bytes() + 2 * couples.generated * sizeof(uint64_t);
-  ScopedMemoryCharge memory(options.run_context);
   memory.Set(result.working_bytes);
-  DEPMINER_FAULT_ALLOC("alloc/agree", options.run_context);
 
-  RunContext* ctx = options.run_context;
   const size_t chunk_size = options.max_couples_per_chunk == 0
                                 ? std::max<size_t>(total_couples, 1)
                                 : options.max_couples_per_chunk;
@@ -411,6 +424,12 @@ AgreeSetResult ComputeAgreeSetsIdentifiers(const StrippedPartitionDatabase& db,
 
   const size_t num_threads = std::max<size_t>(1, options.num_threads);
   RunContext* ctx = options.run_context;
+  // The ec lists and MC's (transient) label table come before any couple.
+  ScopedMemoryCharge memory(ctx);
+  result.working_bytes = db.TotalMemberships() * sizeof(uint64_t) +
+                         ClassLabelTable::BytesFor(db);
+  result.status = ChargeBeforeBuilding(&memory, result.working_bytes, ctx);
+  if (!result.status.ok()) return result;
 
   // Step 1 (lines 2-8): ec(t), the list of stripped-class identifiers
   // containing t. Built attribute by attribute, so each list is sorted by
@@ -443,10 +462,7 @@ AgreeSetResult ComputeAgreeSetsIdentifiers(const StrippedPartitionDatabase& db,
       2 * couples.generated * sizeof(uint64_t) +   // couple keys + sort scratch
       db.TotalMemberships() * sizeof(uint64_t) +   // ec lists
       total_couples * sizeof(AttributeSet);        // per-morsel ag buffers
-
-  ScopedMemoryCharge memory(ctx);
   memory.Set(result.working_bytes);
-  DEPMINER_FAULT_ALLOC("alloc/agree", ctx);
 
   // The couple-key range is morselized: grain-sized sub-ranges pulled
   // dynamically from the pool queue, each intersected into a private

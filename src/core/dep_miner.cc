@@ -152,7 +152,10 @@ Result<DepMinerResult> MineDependencies(const StrippedPartitionDatabase& db,
   // Step 4 (line 4): FD_OUTPUT. On an interrupted lhs phase this keeps
   // the FDs of the attributes whose transversal search completed — they
   // are final, since attributes are independent.
-  out.fds = OutputFds(out.lhs);
+  {
+    PhaseTimer output_timer("phase/output", nullptr);
+    out.fds = OutputFds(out.lhs);
+  }
   out.stats.num_fds = out.fds.size();
   if (!out.lhs.status.ok()) {
     return Interrupted(std::move(out), out.lhs.status);

@@ -37,14 +37,23 @@ size_t StrippedPartitionDatabase::TotalMemberships() const {
   return total;
 }
 
+size_t ClassLabelTable::StrideFor(size_t num_attributes) {
+  return std::max<size_t>(
+             1, (num_attributes + kLabelsPerLine - 1) / kLabelsPerLine) *
+         kLabelsPerLine;
+}
+
+size_t ClassLabelTable::BytesFor(const StrippedPartitionDatabase& db) {
+  return (db.num_tuples() * StrideFor(db.num_attributes()) + kLabelsPerLine) *
+         sizeof(uint32_t);
+}
+
 ClassLabelTable ClassLabelTable::Build(const StrippedPartitionDatabase& db,
                                        size_t num_threads) {
   ClassLabelTable table;
   table.num_tuples_ = db.num_tuples();
   table.num_attributes_ = db.num_attributes();
-  table.stride_ = std::max<size_t>(1, (table.num_attributes_ + kLabelsPerLine -
-                                       1) / kLabelsPerLine) *
-                  kLabelsPerLine;
+  table.stride_ = StrideFor(table.num_attributes_);
   table.labels_.assign(table.num_tuples_ * table.stride_ + kLabelsPerLine, 0);
   const size_t misalign =
       reinterpret_cast<uintptr_t>(table.labels_.data()) %

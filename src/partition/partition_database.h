@@ -73,6 +73,9 @@ class ClassLabelTable {
   static ClassLabelTable Build(const StrippedPartitionDatabase& db,
                                size_t num_threads = 1);
 
+  /// `bytes()` of the table `Build(db)` returns, known before building it.
+  static size_t BytesFor(const StrippedPartitionDatabase& db);
+
   /// Tuple `t`'s labels, indexed by attribute (stride() entries).
   const uint32_t* Labels(TupleId t) const {
     return labels_.data() + first_ + static_cast<size_t>(t) * stride_;
@@ -110,6 +113,7 @@ class ClassLabelTable {
   size_t bytes() const { return labels_.size() * sizeof(uint32_t); }
 
  private:
+  static size_t StrideFor(size_t num_attributes);
   /// Row storage; rows start at `first_`, the first cache-line boundary.
   std::vector<uint32_t> labels_;
   size_t first_ = 0;

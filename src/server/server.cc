@@ -13,19 +13,13 @@
 #include <unistd.h>
 
 #include "common/log.h"
-#include "common/mining_options.h"
 #include "common/parallel.h"
 #include "common/run_context.h"
 #include "common/strings.h"
-#include "core/dep_miner.h"
-#include "fastfds/fastfds.h"
+#include "core/mine_by_name.h"
 #include "fault/fault.h"
-#include "fd/ranking.h"
-#include "fdep/fdep.h"
-#include "partition/partition_database.h"
 #include "relation/csv.h"
 #include "report/profile.h"
-#include "tane/tane.h"
 
 namespace depminer {
 
@@ -54,83 +48,6 @@ bool ParseUintParam(const Request& request, const char* key, uint64_t* out) {
   const auto it = request.params.find(key);
   if (it == request.params.end()) return true;
   return ParseUint64(it->second, out);
-}
-
-/// One mined cover plus how the run ended — the serve-side mirror of the
-/// CLI's MineOutcome, driven by a per-request RunContext instead of the
-/// process-global one.
-struct ServedMine {
-  FdSet fds;
-  bool complete = true;
-  Status run_status;
-};
-
-Result<ServedMine> MineForRequest(const Relation& relation,
-                                  const std::string& algo, size_t threads,
-                                  const MiningOptions& mining,
-                                  RunContext* ctx, PartitionCache* cache) {
-  ServedMine out;
-  if (algo == "tane") {
-    TaneOptions options;
-    options.num_threads = threads;
-    options.run_context = ctx;
-    options.mining = mining;
-    options.partition_cache = cache;
-    Result<TaneResult> tane = TaneDiscover(relation, options);
-    if (!tane.ok()) return tane.status();
-    out.fds = std::move(tane.value().fds);
-    out.complete = tane.value().complete;
-    out.run_status = tane.value().run_status;
-    return out;
-  }
-  if (algo == "fastfds") {
-    FastFdsOptions options;
-    options.run_context = ctx;
-    options.mining = mining;
-    Result<FastFdsResult> fast = FastFdsDiscover(relation, options);
-    if (!fast.ok()) return fast.status();
-    out.fds = std::move(fast.value().fds);
-    out.complete = fast.value().complete;
-    out.run_status = fast.value().run_status;
-    return out;
-  }
-  if (algo == "fdep") {
-    FdepOptions options;
-    options.run_context = ctx;
-    options.mining = mining;
-    Result<FdepResult> fdep = FdepDiscover(relation, options);
-    if (!fdep.ok()) return fdep.status();
-    out.fds = std::move(fdep.value().fds);
-    out.complete = fdep.value().complete;
-    out.run_status = fdep.value().run_status;
-    return out;
-  }
-  DepMinerOptions options;
-  options.build_armstrong = false;
-  options.num_threads = threads;
-  options.run_context = ctx;
-  options.mining = mining;
-  options.agree_set_algorithm = algo == "depminer2"
-                                    ? AgreeSetAlgorithm::kIdentifiers
-                                    : AgreeSetAlgorithm::kCouples;
-  Result<DepMinerResult> mined = MineDependencies(relation, options);
-  if (!mined.ok()) return mined.status();
-  out.fds = std::move(mined.value().fds);
-  out.complete = mined.value().complete;
-  out.run_status = mined.value().run_status;
-  return out;
-}
-
-/// The cover exactly as `fdtool mine` prints it — one `fd.ToString`
-/// line per FD, in FdSet order — so serve-mode covers are bit-identical
-/// to one-shot CLI output.
-std::string CoverBody(const FdSet& fds, const Schema& schema) {
-  std::string body;
-  for (const FunctionalDependency& fd : fds.fds()) {
-    body += fd.ToString(schema);
-    body += '\n';
-  }
-  return body;
 }
 
 }  // namespace
@@ -418,7 +335,7 @@ std::string Server::DoMine(const Request& request) {
   const std::string algo = ParamOr(request, "algo", "depminer");
   if (!IsKnownMiner(algo)) {
     return FormatError(Status::InvalidArgument(
-        "unknown algo '" + algo + "' (" + kMinerNames + ")"));
+        "unknown algo '" + algo + "' (" + MinerNames() + ")"));
   }
   MiningOptions mining;
   uint64_t arity = 0, topk = 0, timeout_ms = 0, budget_mb = 0;
@@ -470,7 +387,7 @@ std::string Server::DoMine(const Request& request) {
       return FormatOk({{"fds", std::to_string(hit.value().size())},
                        {"cached", "1"},
                        {"complete", "1"}},
-                      CoverBody(hit.value(), schema));
+                      RenderCover(hit.value(), schema));
     }
   }
   metrics_->cache_miss.fetch_add(1, std::memory_order_relaxed);
@@ -496,35 +413,10 @@ std::string Server::DoMine(const Request& request) {
     ctx.SetMemoryBudget(static_cast<size_t>(budget_mb) * 1024 * 1024);
   }
 
-  // Mirrors the CLI: TANE and top-k ranking share one partition cache.
-  std::optional<StrippedPartitionDatabase> db;
-  std::optional<PartitionCache> pcache;
-  if (algo == "tane" || mining.top_k != 0) {
-    db.emplace(StrippedPartitionDatabase::FromRelation(
-        *relation, static_cast<size_t>(threads)));
-    PartitionCache::Config config;
-    config.run_context = &ctx;
-    pcache.emplace(&*db, config);
-  }
-  Result<ServedMine> mined = MineForRequest(
-      *relation, algo, static_cast<size_t>(threads), mining, &ctx,
-      pcache.has_value() ? &*pcache : nullptr);
+  Result<MineOutcome> mined = MineByName(
+      *relation, algo, {static_cast<size_t>(threads), &ctx, mining});
   if (!mined.ok()) return FormatError(mined.status());
-  const ServedMine& outcome = mined.value();
-
-  std::string body;
-  if (mining.top_k != 0) {
-    const RankingResult ranked =
-        RankFds(outcome.fds, *db, mining.top_k,
-                pcache.has_value() ? &*pcache : nullptr);
-    for (const RankedFd& rf : ranked.ranked) {
-      body += rf.fd.ToString(relation->schema());
-      body += "  # redundancy=" + std::to_string(rf.redundancy);
-      body += '\n';
-    }
-  } else {
-    body = CoverBody(outcome.fds, relation->schema());
-  }
+  const MineOutcome& outcome = mined.value();
 
   std::map<std::string, std::string> params = {
       {"fds", std::to_string(outcome.fds.size())},
@@ -543,7 +435,7 @@ std::string Server::DoMine(const Request& request) {
           {LogStr("status", stored.ToString())});
     }
   }
-  return FormatOk(params, body);
+  return FormatOk(params, RenderCover(outcome, relation->schema()));
 }
 
 std::string Server::DoProfile(const Request& request) {

@@ -112,7 +112,6 @@ class TaneRun {
                            result_.stats.candidates_pruned);
     DEPMINER_TRACE_COUNTER("tane.products",
                            result_.stats.partition_products);
-    if (cache_ != nullptr) cache_->EmitTraceCounters();
     DEPMINER_TRACE_GAUGE_MAX("tane.peak_partition_bytes",
                              result_.stats.peak_partition_bytes);
     phase_timer.Stop();

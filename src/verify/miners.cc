@@ -1,26 +1,14 @@
 #include "verify/miners.h"
 
-#include "core/dep_miner.h"
-#include "fastfds/fastfds.h"
-#include "fdep/fdep.h"
-#include "tane/tane.h"
+#include "core/mine_by_name.h"
 
 namespace depminer {
 
-namespace {
-
-MinerOutcome RunDepMiner(const Relation& r, AgreeSetAlgorithm algorithm,
-                         size_t threads, RunContext* ctx,
-                         const MiningOptions& mining) {
-  DepMinerOptions options;
-  options.agree_set_algorithm = algorithm;
-  options.build_armstrong = false;
-  options.num_threads = threads;
-  options.run_context = ctx;
-  options.mining = mining;
-  options.mining.max_g3_error = 0.0;  // TANE-only; Dep-Miner rejects it
-  options.mining.force_error_validation = false;
-  Result<DepMinerResult> mined = MineDependencies(r, options);
+MinerOutcome MinerConfig::run(const Relation& relation, size_t threads,
+                              RunContext* ctx,
+                              const MiningOptions& mining) const {
+  Result<MineOutcome> mined =
+      MineByName(relation, name, {threads, ctx, mining});
   MinerOutcome out;
   if (!mined.ok()) {
     out.error = mined.status();
@@ -28,105 +16,16 @@ MinerOutcome RunDepMiner(const Relation& r, AgreeSetAlgorithm algorithm,
   }
   out.fds = std::move(mined.value().fds);
   out.complete = mined.value().complete;
-  out.run_status = mined.value().run_status;
+  out.run_status = std::move(mined.value().run_status);
   return out;
 }
-
-MinerOutcome RunTane(const Relation& r, size_t threads, RunContext* ctx,
-                     const MiningOptions& mining) {
-  TaneOptions options;
-  options.num_threads = threads;
-  options.run_context = ctx;
-  options.mining = mining;
-  Result<TaneResult> mined = TaneDiscover(r, options);
-  MinerOutcome out;
-  if (!mined.ok()) {
-    out.error = mined.status();
-    return out;
-  }
-  out.fds = std::move(mined.value().fds);
-  out.complete = mined.value().complete;
-  out.run_status = mined.value().run_status;
-  return out;
-}
-
-MinerOutcome RunFastFds(const Relation& r, RunContext* ctx,
-                        const MiningOptions& mining) {
-  FastFdsOptions options;
-  options.run_context = ctx;
-  options.mining = mining;
-  options.mining.max_g3_error = 0.0;  // TANE-only
-  options.mining.force_error_validation = false;
-  Result<FastFdsResult> mined = FastFdsDiscover(r, options);
-  MinerOutcome out;
-  if (!mined.ok()) {
-    out.error = mined.status();
-    return out;
-  }
-  out.fds = std::move(mined.value().fds);
-  out.complete = mined.value().complete;
-  out.run_status = mined.value().run_status;
-  return out;
-}
-
-MinerOutcome RunFdep(const Relation& r, RunContext* ctx,
-                     const MiningOptions& mining) {
-  FdepOptions options;
-  options.run_context = ctx;
-  options.mining = mining;
-  options.mining.max_g3_error = 0.0;  // TANE-only
-  options.mining.force_error_validation = false;
-  Result<FdepResult> mined = FdepDiscover(r, options);
-  MinerOutcome out;
-  if (!mined.ok()) {
-    out.error = mined.status();
-    return out;
-  }
-  out.fds = std::move(mined.value().fds);
-  out.complete = mined.value().complete;
-  out.run_status = mined.value().run_status;
-  return out;
-}
-
-}  // namespace
 
 std::vector<MinerConfig> AllMiners() {
-  return {
-      {"depminer", true,
-       [](const Relation& r, size_t t, RunContext* ctx) {
-         return RunDepMiner(r, AgreeSetAlgorithm::kCouples, t, ctx, {});
-       },
-       [](const Relation& r, size_t t, RunContext* ctx,
-          const MiningOptions& m) {
-         return RunDepMiner(r, AgreeSetAlgorithm::kCouples, t, ctx, m);
-       }},
-      {"depminer2", true,
-       [](const Relation& r, size_t t, RunContext* ctx) {
-         return RunDepMiner(r, AgreeSetAlgorithm::kIdentifiers, t, ctx, {});
-       },
-       [](const Relation& r, size_t t, RunContext* ctx,
-          const MiningOptions& m) {
-         return RunDepMiner(r, AgreeSetAlgorithm::kIdentifiers, t, ctx, m);
-       }},
-      {"tane", true,
-       [](const Relation& r, size_t t, RunContext* ctx) {
-         return RunTane(r, t, ctx, {});
-       },
-       [](const Relation& r, size_t t, RunContext* ctx,
-          const MiningOptions& m) { return RunTane(r, t, ctx, m); }},
-      {"fastfds", false,
-       [](const Relation& r, size_t, RunContext* ctx) {
-         return RunFastFds(r, ctx, {});
-       },
-       [](const Relation& r, size_t, RunContext* ctx,
-          const MiningOptions& m) { return RunFastFds(r, ctx, m); }},
-      {"fdep", false,
-       [](const Relation& r, size_t, RunContext* ctx) {
-         return RunFdep(r, ctx, {});
-       },
-       [](const Relation& r, size_t, RunContext* ctx,
-          const MiningOptions& m) { return RunFdep(r, ctx, m); }},
-  };
+  std::vector<MinerConfig> miners;
+  for (const MinerSpec& spec : Miners()) {
+    miners.push_back({spec.name, spec.threaded});
+  }
+  return miners;
 }
 
 std::string MinerLabel(const MinerConfig& miner, size_t threads) {

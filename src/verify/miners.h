@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,25 +21,20 @@ struct MinerOutcome {
   Status error;       ///< non-OK when the invocation itself failed
 };
 
-using MinerFn =
-    std::function<MinerOutcome(const Relation&, size_t, RunContext*)>;
-using MinerOptFn = std::function<MinerOutcome(
-    const Relation&, size_t, RunContext*, const MiningOptions&)>;
-
+/// One of the miners under test (core/mine_by_name.h).
 struct MinerConfig {
   std::string name;
-  bool threaded;  ///< accepts pool lanes; serial miners run once
-  MinerFn run;
-  /// Same miner with pruning knobs threaded through (arity caps for all
-  /// miners; `force_error_validation` exercises TANE's g₃ path at ε = 0
-  /// and is ignored by the others). The oracle's pruning cross-checks
-  /// drive the miners through this entry point.
-  MinerOptFn run_with;
+  bool threaded = false;  ///< accepts pool lanes; serial miners run once
+
+  /// Mines through `MineByName`, the pruning knobs passed through as given
+  /// (`force_error_validation` takes TANE's g₃ path at ε = 0; the others
+  /// ignore it).
+  MinerOutcome run(const Relation& relation, size_t threads, RunContext* ctx,
+                   const MiningOptions& mining = {}) const;
 };
 
-/// The five miners under test, adapted to one calling convention:
-/// depminer (Algorithm 2 agree sets), depminer2 (Algorithm 3), tane,
-/// fastfds, fdep.
+/// The five miners under test, in `Miners()` order: depminer (Algorithm 2
+/// agree sets), depminer2 (Algorithm 3), tane, fastfds, fdep.
 std::vector<MinerConfig> AllMiners();
 
 /// "depminer/4t" for threaded miners, the bare name for serial ones.

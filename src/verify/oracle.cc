@@ -379,7 +379,7 @@ OracleReport RunDifferentialOracle(const Relation& relation,
 
       MiningOptions capped;
       capped.max_lhs_arity = options.arity_cap;
-      MinerOutcome capped_out = miner.run_with(relation, t, nullptr, capped);
+      MinerOutcome capped_out = miner.run(relation, t, nullptr, capped);
       ++report.miner_runs;
       if (!capped_out.error.ok() || !capped_out.complete) {
         Report(&report, CheckKind::kArityDivergence, label,
@@ -404,7 +404,7 @@ OracleReport RunDifferentialOracle(const Relation& relation,
 
       MiningOptions forced;
       forced.force_error_validation = true;
-      MinerOutcome afd_out = miner.run_with(relation, t, nullptr, forced);
+      MinerOutcome afd_out = miner.run(relation, t, nullptr, forced);
       ++report.miner_runs;
       if (!afd_out.error.ok() || !afd_out.complete) {
         Report(&report, CheckKind::kAfdDivergence, label,

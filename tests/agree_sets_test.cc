@@ -268,6 +268,30 @@ TEST(AgreeSetsParallel, MemoryBudgetTripIsDeterministicAcrossThreads) {
   }
 }
 
+// The label table, and Algorithm 3's ec lists, are charged before they
+// are built: a budget below the table's size stops either algorithm
+// before a single couple is generated.
+TEST(AgreeSetsBudget, BudgetBelowTheLabelTableStopsBeforeAnyCouple) {
+  const Relation r = RandomRelation(6, 120, 3, 7);
+  const StrippedPartitionDatabase db = Db(r);
+  const size_t label_bytes = ClassLabelTable::BytesFor(db);
+  EXPECT_EQ(label_bytes, ClassLabelTable::Build(db).bytes());
+  for (const bool identifiers : {false, true}) {
+    RunContext ctx;
+    ctx.SetMemoryBudget(label_bytes - 1);
+    AgreeSetOptions options;
+    options.run_context = &ctx;
+    const AgreeSetResult agree = identifiers
+                                     ? ComputeAgreeSetsIdentifiers(db, options)
+                                     : ComputeAgreeSetsCouples(db, options);
+    EXPECT_EQ(agree.status.code(), StatusCode::kCapacityExceeded)
+        << (identifiers ? "identifiers" : "couples");
+    EXPECT_EQ(agree.couples_examined, 0u)
+        << (identifiers ? "identifiers" : "couples");
+    EXPECT_TRUE(agree.sets.empty());
+  }
+}
+
 TEST(MaximalEquivalenceClasses, ThreadCountInvariance) {
   const Relation r = RandomRelation(10, 300, 3, 99);
   const StrippedPartitionDatabase db = Db(r);

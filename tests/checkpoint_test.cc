@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string_view>
 
 #include "catalog/fingerprint.h"
@@ -395,6 +396,13 @@ struct ResumeCase {
   MinePhase checkpoint_at;   ///< the phase left on disk by the trip
   size_t threads;
 };
+
+/// "resume@strip": the phase the resumed run picks up from. The fault
+/// site and lane count are already in the test name; without this gtest
+/// prints the struct as a byte dump holding a pointer, which ASLR moves.
+void PrintTo(const ResumeCase& c, std::ostream* os) {
+  *os << "resume@" << ToString(c.checkpoint_at);
+}
 
 class CheckpointResume : public CheckpointedMine,
                          public ::testing::WithParamInterface<ResumeCase> {};

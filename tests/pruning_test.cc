@@ -9,12 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/mining_options.h"
 #include "common/run_context.h"
+#include "common/trace.h"
 #include "core/dep_miner.h"
+#include "core/mine_by_name.h"
 #include "fastfds/fastfds.h"
 #include "fd/fd_diff.h"
 #include "fd/ranking.h"
@@ -210,7 +214,7 @@ TEST(PruningArity, EveryMinerCappedEqualsFilteredUnbounded) {
     for (const size_t cap : {size_t{1}, size_t{2}, size_t{3}}) {
       MiningOptions capped;
       capped.max_lhs_arity = cap;
-      const MinerOutcome out = miner.run_with(r, 1, nullptr, capped);
+      const MinerOutcome out = miner.run(r, 1, nullptr, capped);
       ASSERT_TRUE(out.error.ok()) << miner.name << " k=" << cap;
       EXPECT_EQ(out.fds.fds(),
                 FilterToArity(unbounded.fds, r.num_attributes(), cap).fds())
@@ -404,6 +408,40 @@ TEST(PruningRanking, RedundancyIsThePartitionError) {
   EXPECT_EQ(ranked.ranked.front().redundancy, 3u);
   EXPECT_EQ(ranked.ranked.front().fd.lhs.Count(), 0u);
 }
+
+#if DEPMINER_TRACING_ENABLED
+TEST(PruningRanking, CacheCountersCountTheRankingPass) {
+  const Relation r = RandomRelation(8, 40, 4, 41);
+  for (const char* algo : {"depminer", "tane"}) {
+    MineRequest request;
+    request.mining.top_k = 3;
+    TraceSession session;
+    session.Start();
+    Result<MineOutcome> mined = MineByName(r, algo, request);
+    session.Stop();
+    ASSERT_TRUE(mined.ok()) << algo;
+    EXPECT_EQ(mined.value().ranked.size(), 3u) << algo;
+    // Ranking probes the cache once per FD with a non-empty lhs.
+    size_t probes = 0;
+    for (const FunctionalDependency& fd : mined.value().fds.fds()) {
+      if (!fd.lhs.Empty()) ++probes;
+    }
+    ASSERT_GT(probes, 0u) << algo;
+    const std::map<std::string, uint64_t>& counters = session.counters();
+    ASSERT_EQ(counters.count("partition_cache.hits"), 1u) << algo;
+    EXPECT_GE(counters.at("partition_cache.hits") +
+                  counters.at("partition_cache.misses"),
+              probes)
+        << algo;
+  }
+  // An unranked TANE mine builds no cache, so it reports none.
+  TraceSession session;
+  session.Start();
+  ASSERT_TRUE(MineByName(r, "tane").ok());
+  session.Stop();
+  EXPECT_EQ(session.counters().count("partition_cache.hits"), 0u);
+}
+#endif  // DEPMINER_TRACING_ENABLED
 
 // ---------------------------------------------------------------- options
 

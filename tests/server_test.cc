@@ -15,6 +15,7 @@
 
 #include "catalog/catalog.h"
 #include "core/dep_miner.h"
+#include "core/mine_by_name.h"
 #include "fault/fault.h"
 #include "relation/csv.h"
 #include "server/client.h"
@@ -468,6 +469,52 @@ TEST_F(ServerTest, MineValidatesItsParameters) {
   r = client.Call("bogus-verb");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().code, "InvalidArgument");
+}
+
+// MINE and one-shot `fdtool mine` share one name-to-cover call: every
+// miner name, plain and ranked, answers the one-shot rendering byte for
+// byte, and an unknown name lists the five.
+TEST_F(ServerTest, MineMatchesTheOneShotCoverForEveryMiner) {
+  StartServer();
+  ServerClient client = Connect();
+  const Relation relation = RandomRelation(5, 40, 3, 13);
+  PutRelation(client, "ds", relation);
+
+  for (const MinerSpec& miner : Miners()) {
+    for (const size_t top_k : {size_t{0}, size_t{3}}) {
+      MineRequest request;
+      request.mining.top_k = top_k;
+      Result<MineOutcome> one_shot = MineByName(relation, miner.name, request);
+      ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+      std::string command =
+          std::string("mine ds algo=") + miner.name + " nocache=1";
+      if (top_k != 0) command += " topk=" + std::to_string(top_k);
+      Result<Response> served = client.Call(command);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      ASSERT_TRUE(served.value().ok) << command << ": "
+                                     << served.value().message;
+      EXPECT_EQ(served.value().body,
+                RenderCover(one_shot.value(), relation.schema()))
+          << command;
+    }
+    if (std::string(miner.name) != "tane") {
+      // Approximate discovery is TANE-only; the others refuse a threshold.
+      Result<Response> approx =
+          client.Call(std::string("mine ds algo=") + miner.name +
+                      " error=0.1");
+      ASSERT_TRUE(approx.ok());
+      EXPECT_EQ(approx.value().code, "InvalidArgument") << miner.name;
+    }
+  }
+
+  Result<Response> unknown = client.Call("mine ds algo=tanee");
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_FALSE(unknown.value().ok);
+  EXPECT_EQ(unknown.value().code, "InvalidArgument");
+  EXPECT_NE(unknown.value().message.find(
+                "depminer|depminer2|tane|fastfds|fdep"),
+            std::string::npos)
+      << unknown.value().message;
 }
 
 TEST_F(ServerTest, PutRejectsAmbiguousDelimiters) {
