@@ -1,6 +1,7 @@
-// Streaming discovery: mine a CSV without materializing the relation —
-// the paper's limited-memory operating model (§1: "its feasibility does
-// not depend on the volume of handled data").
+// Streaming discovery: mine a CSV from its stripped partition database
+// alone, the encoded relation released once r̂ is built from it — the
+// paper's limited-memory operating model (§1: "its feasibility does not
+// depend on the volume of handled data").
 //
 // With no arguments the example first *generates* a moderately large CSV
 // on disk, then mines it through the one-pass streaming extractor and

@@ -107,29 +107,30 @@ void RadixSort(std::vector<uint64_t>* keys) {
   }
 }
 
-/// The distinct couples of tuples inside a class family, as packed
-/// (lo << 32 | hi) keys in increasing order; the same couple may lie in
-/// several (overlapping) classes and is kept once — "couples" is a set in
-/// the paper's Algorithm 2. Each class writes its couples at a
-/// precomputed offset on the pool; deduplication is a radix sort plus
-/// unique, so the output is the same at any thread count.
-struct CoupleKeys {
-  std::vector<uint64_t> keys;
-  /// Keys generated before deduplication (the sort's working set).
-  size_t generated = 0;
-};
-
-CoupleKeys DistinctCouples(const ClassRefs& classes, size_t num_threads) {
+/// Where each class of a family writes its couples in the generated key
+/// array: class i's n(n-1)/2 couples start at offsets[i], and back() is
+/// the number of keys generated, known before any is written.
+std::vector<size_t> CoupleOffsets(const ClassRefs& classes) {
   std::vector<size_t> offsets(classes.size() + 1, 0);
   for (size_t i = 0; i < classes.size(); ++i) {
     const size_t n = classes[i].size();
     offsets[i + 1] = offsets[i] + n * (n - 1) / 2;
   }
-  CoupleKeys out;
-  out.generated = offsets.back();
-  out.keys.resize(out.generated);
+  return offsets;
+}
+
+/// The distinct couples of tuples inside a class family, as packed
+/// (lo << 32 | hi) keys in increasing order; the same couple may lie in
+/// several (overlapping) classes and is kept once — "couples" is a set in
+/// the paper's Algorithm 2. Each class writes its couples at its offset
+/// on the pool; deduplication is a radix sort plus unique, so the output
+/// is the same at any thread count.
+std::vector<uint64_t> DistinctCouples(const ClassRefs& classes,
+                                      const std::vector<size_t>& offsets,
+                                      size_t num_threads) {
+  std::vector<uint64_t> keys(offsets.back());
   ParallelFor(0, classes.size(), num_threads, [&](size_t ci) {
-    uint64_t* dst = out.keys.data() + offsets[ci];
+    uint64_t* dst = keys.data() + offsets[ci];
     const ClassView c = classes[ci];
     // Tuple ids increase within a class, so c[i] is the couple's lo.
     for (size_t i = 0; i < c.size(); ++i) {
@@ -137,10 +138,9 @@ CoupleKeys DistinctCouples(const ClassRefs& classes, size_t num_threads) {
       for (size_t j = i + 1; j < c.size(); ++j) *dst++ = lo | c[j];
     }
   });
-  RadixSort(&out.keys);
-  out.keys.erase(std::unique(out.keys.begin(), out.keys.end()),
-                 out.keys.end());
-  return out;
+  RadixSort(&keys);
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
 }
 
 /// The distinct agree sets one morsel meets, in first-seen order, behind
@@ -218,13 +218,13 @@ Status TripStatus(const RunContext* ctx) {
   return Status::Cancelled("agree-set computation interrupted");
 }
 
-/// Charges `bytes`, which r̂ alone fixes, before the phase allocates them
-/// and polls the run's one `alloc/agree` site, so a budget or an injected
-/// allocation failure stops the phase before its first large allocation.
+/// Charges `bytes` before the phase allocates them and checks the
+/// budget, so a run that cannot afford them stops before allocating.
+/// The phase's first charge, which r̂ alone fixes, is also where it polls
+/// its one `alloc/agree` site.
 Status ChargeBeforeBuilding(ScopedMemoryCharge* memory, size_t bytes,
                             RunContext* ctx) {
   memory->Set(bytes);
-  DEPMINER_FAULT_ALLOC("alloc/agree", ctx);
   return ctx != nullptr && ctx->limited() ? ctx->Check() : Status::OK();
 }
 
@@ -306,6 +306,7 @@ AgreeSetResult ComputeAgreeSetsCouples(const StrippedPartitionDatabase& db,
   RunContext* ctx = options.run_context;
   ScopedMemoryCharge memory(ctx);
   result.working_bytes = ClassLabelTable::BytesFor(db);
+  DEPMINER_FAULT_ALLOC("alloc/agree", ctx);
   result.status = ChargeBeforeBuilding(&memory, result.working_bytes, ctx);
   if (!result.status.ok()) return result;
 
@@ -318,28 +319,28 @@ AgreeSetResult ComputeAgreeSetsCouples(const StrippedPartitionDatabase& db,
 
   // Materialize the distinct couples (Algorithm 2 lines 4-9), from the
   // maximal classes or — for the ablation — from every class.
-  CoupleKeys couples;
+  std::vector<uint64_t> keys;
   {
     const ClassRefs sources = options.use_maximal_classes
                                   ? MaximalClasses(db, labels, num_threads)
                                   : AllClasses(db);
+    const std::vector<size_t> offsets = CoupleOffsets(sources);
+    // The working set at its high-water mark, couple deduplication: the
+    // label table, the generated couple keys and the radix sort's
+    // scratch copy of them. The scan below adds only each morsel's
+    // distinct sets.
+    result.working_bytes =
+        labels.bytes() + 2 * offsets.back() * sizeof(uint64_t);
+    result.status = ChargeBeforeBuilding(&memory, result.working_bytes, ctx);
+    if (!result.status.ok()) return result;
     DEPMINER_TRACE_SPAN(couples_span, "agree/couples");
-    couples = DistinctCouples(sources, num_threads);
-    couples_span.SetValue(couples.keys.size());
+    keys = DistinctCouples(sources, offsets, num_threads);
+    couples_span.SetValue(keys.size());
   }
-  const std::vector<uint64_t>& keys = couples.keys;
   const size_t total_couples = keys.size();
   result.couples_examined = total_couples;
   DEPMINER_TRACE_COUNTER("agree.couples", total_couples);
   DEPMINER_PROGRESS_PHASE("agree", "couples", total_couples);
-
-  // The working set at its high-water mark, couple deduplication: the
-  // label table, the generated couple keys and the radix sort's scratch
-  // copy of them. The scan below adds only each morsel's distinct sets.
-  // Charged so a memory budget can veto the run before the chunk loop.
-  result.working_bytes =
-      labels.bytes() + 2 * couples.generated * sizeof(uint64_t);
-  memory.Set(result.working_bytes);
 
   const size_t chunk_size = options.max_couples_per_chunk == 0
                                 ? std::max<size_t>(total_couples, 1)
@@ -426,8 +427,9 @@ AgreeSetResult ComputeAgreeSetsIdentifiers(const StrippedPartitionDatabase& db,
   RunContext* ctx = options.run_context;
   // The ec lists and MC's (transient) label table come before any couple.
   ScopedMemoryCharge memory(ctx);
-  result.working_bytes = db.TotalMemberships() * sizeof(uint64_t) +
-                         ClassLabelTable::BytesFor(db);
+  const size_t ec_bytes = db.TotalMemberships() * sizeof(uint64_t);
+  result.working_bytes = ec_bytes + ClassLabelTable::BytesFor(db);
+  DEPMINER_FAULT_ALLOC("alloc/agree", ctx);
   result.status = ChargeBeforeBuilding(&memory, result.working_bytes, ctx);
   if (!result.status.ok()) return result;
 
@@ -450,18 +452,23 @@ AgreeSetResult ComputeAgreeSetsIdentifiers(const StrippedPartitionDatabase& db,
       MaximalEquivalenceClasses(db, num_threads);
   const ClassRefs mc_refs(mc.begin(), mc.end());
 
+  // The ec lists, the couple keys and the sort's scratch, before any key.
+  const std::vector<size_t> offsets = CoupleOffsets(mc_refs);
+  result.working_bytes = ec_bytes + 2 * offsets.back() * sizeof(uint64_t);
+  result.status = ChargeBeforeBuilding(&memory, result.working_bytes, ctx);
+  if (!result.status.ok()) return result;
+
   // Step 2 (lines 9-14): ag(t, t') from ec(t) ∩ ec(t') by sorted merge.
   DEPMINER_TRACE_SPAN(intersect_span, "agree/intersect");
-  const CoupleKeys couples = DistinctCouples(mc_refs, num_threads);
-  const size_t total_couples = couples.keys.size();
+  const std::vector<uint64_t> keys =
+      DistinctCouples(mc_refs, offsets, num_threads);
+  const size_t total_couples = keys.size();
   result.couples_examined = total_couples;
   intersect_span.SetValue(total_couples);
   DEPMINER_TRACE_COUNTER("agree.couples", total_couples);
   DEPMINER_PROGRESS_PHASE("agree", "couples", total_couples);
-  result.working_bytes =
-      2 * couples.generated * sizeof(uint64_t) +   // couple keys + sort scratch
-      db.TotalMemberships() * sizeof(uint64_t) +   // ec lists
-      total_couples * sizeof(AttributeSet);        // per-morsel ag buffers
+  // ... plus the per-morsel ag buffers.
+  result.working_bytes += total_couples * sizeof(AttributeSet);
   memory.Set(result.working_bytes);
 
   // The couple-key range is morselized: grain-sized sub-ranges pulled
@@ -474,7 +481,6 @@ AgreeSetResult ComputeAgreeSetsIdentifiers(const StrippedPartitionDatabase& db,
   // morsel that observes a tripped context stops at its current couple —
   // its prefix is still valid (every pushed set is a complete ag(t, t')),
   // matching the serial partial-result contract.
-  const std::vector<uint64_t>& keys = couples.keys;
   const MorselPlan plan(0, keys.size(), num_threads);
   std::vector<std::vector<AttributeSet>> morsel_sets(plan.count);
   std::atomic<bool> stopped{false};

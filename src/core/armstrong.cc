@@ -1,6 +1,8 @@
 #include "core/armstrong.h"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/trace.h"
 #include "relation/relation_builder.h"
@@ -19,6 +21,40 @@ AttributeSet ClosureViaMaxSets(const AttributeSet& x, size_t n,
     if (x.IsSubsetOf(m)) closure = closure.Intersect(m);
   }
   return closure;
+}
+
+/// The values of A Equation 2 needs: |{X ∈ MAX(dep(r)) : A ∉ X}| + 1.
+size_t ValuesNeeded(AttributeId a, const std::vector<AttributeSet>& max_sets) {
+  size_t excluding = 0;
+  for (const AttributeSet& m : max_sets) {
+    if (!m.Contains(a)) ++excluding;
+  }
+  return excluding + 1;
+}
+
+/// Proposition 1 for attribute `a`: its `count` distinct values must
+/// cover the `needed` ones.
+Status CheckProposition1(const Schema& schema, AttributeId a, size_t count,
+                         size_t needed) {
+  if (count >= needed) return Status::OK();
+  return Status::FailedPrecondition(
+      "attribute '" + schema.name(a) + "' has " + std::to_string(count) +
+      " distinct values; needs " + std::to_string(needed) +
+      " (Proposition 1)");
+}
+
+/// Equation 2's values of column `a`: its distinct strings in
+/// first-occurrence order. Under SQL NULL semantics each NULL has a code
+/// of its own, yet they all read as the one token — one value here, or
+/// two "distinct" cells of the built relation would agree.
+std::vector<std::string> DistinctValues(const Relation& relation,
+                                        AttributeId a) {
+  std::unordered_set<std::string_view> seen;
+  std::vector<std::string> values;
+  for (const std::string& value : relation.Dictionary(a)) {
+    if (seen.insert(value).second) values.push_back(value);
+  }
+  return values;
 }
 
 }  // namespace
@@ -56,17 +92,9 @@ Result<Relation> BuildSyntheticArmstrong(
 Status RealWorldArmstrongExists(const Relation& relation,
                                 const std::vector<AttributeSet>& max_sets) {
   for (AttributeId a = 0; a < relation.num_attributes(); ++a) {
-    size_t excluding = 0;  // |{X ∈ MAX(dep(r)) : A ∉ X}|
-    for (const AttributeSet& m : max_sets) {
-      if (!m.Contains(a)) ++excluding;
-    }
-    if (relation.DistinctCount(a) < excluding + 1) {
-      return Status::FailedPrecondition(
-          "attribute '" + relation.schema().name(a) + "' has " +
-          std::to_string(relation.DistinctCount(a)) +
-          " distinct values; needs " + std::to_string(excluding + 1) +
-          " (Proposition 1)");
-    }
+    DEPMINER_RETURN_NOT_OK(CheckProposition1(
+        relation.schema(), a, DistinctValues(relation, a).size(),
+        ValuesNeeded(a, max_sets)));
   }
   return Status::OK();
 }
@@ -76,11 +104,9 @@ Result<Relation> BuildRealWorldArmstrong(
     RunContext* ctx) {
   std::vector<std::vector<std::string>> samples;
   std::vector<size_t> counts;
-  samples.reserve(relation.num_attributes());
-  counts.reserve(relation.num_attributes());
   for (AttributeId a = 0; a < relation.num_attributes(); ++a) {
-    samples.push_back(relation.Dictionary(a));
-    counts.push_back(relation.DistinctCount(a));
+    samples.push_back(DistinctValues(relation, a));
+    counts.push_back(samples.back().size());
   }
   return BuildRealWorldArmstrongFromSamples(relation.schema(), samples,
                                             counts, max_sets, ctx);
@@ -100,21 +126,14 @@ Result<Relation> BuildRealWorldArmstrongFromSamples(
 
   // Proposition 1, judged on the true distinct counts.
   for (AttributeId a = 0; a < n; ++a) {
-    size_t excluding = 0;
-    for (const AttributeSet& m : max_sets) {
-      if (!m.Contains(a)) ++excluding;
-    }
-    if (distinct_counts[a] < excluding + 1) {
-      return Status::FailedPrecondition(
-          "attribute '" + schema.name(a) + "' has " +
-          std::to_string(distinct_counts[a]) + " distinct values; needs " +
-          std::to_string(excluding + 1) + " (Proposition 1)");
-    }
-    if (value_samples[a].size() < std::min(distinct_counts[a], excluding + 1)) {
+    const size_t needed = ValuesNeeded(a, max_sets);
+    DEPMINER_RETURN_NOT_OK(
+        CheckProposition1(schema, a, distinct_counts[a], needed));
+    if (value_samples[a].size() < std::min(distinct_counts[a], needed)) {
       return Status::CapacityExceeded(
           "attribute '" + schema.name(a) + "': value sample holds " +
           std::to_string(value_samples[a].size()) + " values, construction "
-          "needs " + std::to_string(excluding + 1) +
+          "needs " + std::to_string(needed) +
           " — raise StreamingOptions::value_sample_size");
     }
   }

@@ -31,15 +31,18 @@ Result<Relation> BuildSyntheticArmstrong(
 
 /// Existence condition for a *real-world* Armstrong relation (paper
 /// Proposition 1): for every attribute A the initial relation must carry
-/// at least |{X ∈ MAX(dep(r)) : A ∉ X}| + 1 distinct values.
+/// at least |{X ∈ MAX(dep(r)) : A ∉ X}| + 1 distinct values. Values are
+/// counted as strings: under SQL NULL semantics every NULL cell reads as
+/// the one token, so all of them are one value.
 /// Returns OK, or FailedPrecondition naming the first deficient attribute.
 Status RealWorldArmstrongExists(const Relation& relation,
                                 const std::vector<AttributeSet>& max_sets);
 
 /// Real-world construction (paper Equation 2, Definition 1): like the
 /// synthetic one, but the "0" value of attribute A is its first distinct
-/// value in r and the "i" value is the i-th distinct value — every cell
-/// holds a value actually occurring in r's column A.
+/// value in r and the "i" value is the i-th distinct value (distinct
+/// strings in first-occurrence order, as RealWorldArmstrongExists counts
+/// them) — every cell holds a value actually occurring in r's column A.
 ///
 /// Fails with the Proposition 1 precondition when the initial relation
 /// lacks enough distinct values. `ctx` (optional) is checked once per

@@ -31,12 +31,17 @@ Result<MineOutcome> Outcome(Result<Mined> mined) {
 
 template <AgreeSetAlgorithm kAlgorithm>
 Result<MineOutcome> DepMiner(const Relation& relation,
-                             const MineRequest& request, PartitionCache*) {
+                             const MineRequest& request,
+                             PartitionCache* cache) {
   DepMinerOptions options = OptionsFor<DepMinerOptions>(request);
   options.agree_set_algorithm = kAlgorithm;
   options.build_armstrong = false;
   options.num_threads = request.num_threads;
-  return Outcome(MineDependencies(relation, options));
+  if (cache == nullptr) return Outcome(MineDependencies(relation, options));
+  // A ranked mine has stripped r̂ for its cache already: mine that one,
+  // refusing a tripped context up front as the relation overload does.
+  DEPMINER_CHECK_RUN(request.run_context);
+  return Outcome(MineDependencies(cache->base(), &relation, options));
 }
 
 struct Miner {

@@ -26,7 +26,7 @@ const std::vector<FaultSite>& FaultSiteRegistry() {
       {"alloc/fdep", FaultKind::kAlloc,
        "FDEP negative-cover specialization charge"},
       {"alloc/streaming", FaultKind::kAlloc,
-       "streaming CSV extraction working-set charge"},
+       "governed CSV load working-set charge (streaming extraction)"},
       {"alloc/partition_cache", FaultKind::kAlloc,
        "partition-product cache resident-byte charge"},
       {"alloc/catalog", FaultKind::kAlloc,

@@ -29,7 +29,7 @@ class StrippedPartitionDatabase {
                                                 size_t num_threads = 1);
 
   /// Assembles r̂ from already-built per-attribute stripped partitions
-  /// (the streaming extractor's path; see storage/streaming.h). Every
+  /// (the checkpoint decoder's path; see storage/checkpoint.h). Every
   /// partition must be over the same `num_tuples` universe.
   static StrippedPartitionDatabase FromParts(
       std::vector<StrippedPartition> partitions, size_t num_tuples);
@@ -174,6 +174,8 @@ class PartitionCache {
   ~PartitionCache();
   PartitionCache(const PartitionCache&) = delete;
   PartitionCache& operator=(const PartitionCache&) = delete;
+
+  const StrippedPartitionDatabase& base() const { return *base_; }
 
   /// π̂_X, computed on a miss by extending the longest cached prefix of
   /// X's attribute chain one product at a time (each intermediate prefix

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <optional>
 
 #include "common/file_reader.h"
 #include "common/progress.h"
+#include "fault/fault.h"
 #include "relation/relation_builder.h"
 
 namespace depminer {
@@ -17,12 +17,25 @@ namespace {
 /// Bytes a block source is asked for per read.
 constexpr size_t kBlockSize = 64 * 1024;
 
+/// Records between two governance polls of a load.
+constexpr size_t kPollEveryRecords = 1024;
+
+/// One governance poll of a load (see ReadCsvRelation).
+Status PollLoad(const RelationBuilder& builder, ScopedMemoryCharge* memory,
+                RunContext* ctx) {
+  memory->Set(builder.working_bytes());
+  DEPMINER_FAULT_ALLOC("alloc/streaming", ctx);
+  DEPMINER_CHECK_RUN(ctx);
+  return Status::OK();
+}
+
 Result<Relation> ParseRelation(CsvRecordReader& reader,
                                const CsvOptions& options,
-                               const std::string& origin) {
+                               const std::string& origin, RunContext* ctx) {
   size_t record_no = 0;
   DEPMINER_PROGRESS_PHASE("load", "rows", 0);
 
+  ScopedMemoryCharge memory(ctx);
   std::optional<RelationBuilder> builder;
   size_t arity = 0;
   std::vector<std::string_view> fields;
@@ -30,6 +43,9 @@ Result<Relation> ParseRelation(CsvRecordReader& reader,
     ++record_no;
     // Batched tick: once per 4096 records, not per row.
     if (record_no % 4096 == 0) DEPMINER_PROGRESS_TICK(4096);
+    if (ctx != nullptr && record_no % kPollEveryRecords == 0) {
+      DEPMINER_RETURN_NOT_OK(PollLoad(*builder, &memory, ctx));
+    }
     if (!builder) {
       arity = fields.size();
       builder.emplace(options.has_header
@@ -53,6 +69,7 @@ Result<Relation> ParseRelation(CsvRecordReader& reader,
   if (!builder) {
     return Status::InvalidArgument(origin + ": empty CSV input");
   }
+  if (ctx != nullptr) DEPMINER_RETURN_NOT_OK(PollLoad(*builder, &memory, ctx));
   return std::move(*builder).Finish();
 }
 
@@ -118,18 +135,7 @@ CsvRecordReader::CsvRecordReader(std::string_view text,
 CsvRecordReader::CsvRecordReader(RetryingFileStream& in,
                                  const CsvOptions& options)
     : options_(options),
-      read_([&in](char* dst, size_t n) { return in.ReadBlock(dst, n); }),
-      status_(ValidateCsvOptions(options)) {}
-
-CsvRecordReader::CsvRecordReader(std::istream& in, const CsvOptions& options)
-    : options_(options),
-      read_([&in](char* dst, size_t n) -> size_t {
-        std::streambuf* buf = in.rdbuf();
-        const std::streamsize got =
-            buf == nullptr ? 0
-                           : buf->sgetn(dst, static_cast<std::streamsize>(n));
-        return got > 0 ? static_cast<size_t>(got) : 0;
-      }),
+      file_(&in),
       status_(ValidateCsvOptions(options)) {}
 
 bool CsvRecordReader::Refill() {
@@ -142,7 +148,7 @@ bool CsvRecordReader::Refill() {
     pos_ = 0;
   }
   if (buffer_.size() < end_ + kBlockSize) buffer_.resize(end_ + kBlockSize);
-  const size_t got = read_(buffer_.data() + end_, kBlockSize);
+  const size_t got = file_->ReadBlock(buffer_.data() + end_, kBlockSize);
   data_ = buffer_.data();
   if (got == 0) {
     eof_ = true;
@@ -307,18 +313,12 @@ bool CsvRecordReader::Next(std::vector<std::string_view>* fields) {
   return true;
 }
 
-bool CsvRecordReader::Next(std::vector<std::string>* fields) {
-  if (!Next(&views_)) return false;
-  fields->assign(views_.begin(), views_.end());
-  return true;
-}
-
 Result<Relation> ReadCsvRelation(const std::string& path,
-                                 const CsvOptions& options) {
+                                 const CsvOptions& options, RunContext* ctx) {
   RetryingFileStream in(path);
   if (!in.is_open()) return in.status();
   CsvRecordReader reader(in, options);
-  Result<Relation> result = ParseRelation(reader, options, path);
+  Result<Relation> result = ParseRelation(reader, options, path, ctx);
   // A read error mid-file looks like EOF to the tokenizer and would
   // surface as a silently truncated relation; the stream's sticky status
   // is the only witness, so it outranks the parse outcome.
@@ -327,9 +327,9 @@ Result<Relation> ReadCsvRelation(const std::string& path,
 }
 
 Result<Relation> ParseCsvRelation(const std::string& content,
-                                  const CsvOptions& options) {
+                                  const CsvOptions& options, RunContext* ctx) {
   CsvRecordReader reader(std::string_view(content), options);
-  return ParseRelation(reader, options, "<string>");
+  return ParseRelation(reader, options, "<string>", ctx);
 }
 
 std::string CsvToString(const Relation& relation, const CsvOptions& options) {

@@ -1,11 +1,10 @@
 #pragma once
 
-#include <functional>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/run_context.h"
 #include "common/status.h"
 #include "relation/relation.h"
 
@@ -42,12 +41,12 @@ Status ValidateCsvOptions(const CsvOptions& options);
 /// pass ValidateCsvOptions; anything else is InvalidArgument.
 Status SetCsvDelimiter(std::string_view arg, CsvOptions* options);
 
-/// Incremental CSV record reader: one single-pass tokenizer shared by the
-/// relation loader and the streaming partition extractor. It reads input
-/// in 64 KiB blocks (or tokenizes in-memory text in place), finds
-/// delimiters, newlines and quotes with `memchr` scans, and yields fields
-/// as views into the block; only quoted content is copied, unescaped, to
-/// a reused scratch buffer.
+/// Incremental CSV record reader: the single-pass tokenizer behind every
+/// CSV load (the relation loader, and through it the streaming partition
+/// extractor). It reads input in 64 KiB blocks (or tokenizes in-memory
+/// text in place), finds delimiters, newlines and quotes with `memchr`
+/// scans, and yields fields as views into the block; only quoted content
+/// is copied, unescaped, to a reused scratch buffer.
 ///
 /// Quoting (RFC 4180 style, as Python's `csv` module reads it): a `"`
 /// opens a quoted field only at the start of a field; inside one, `""` is
@@ -69,8 +68,6 @@ class CsvRecordReader {
   CsvRecordReader(std::string_view text, const CsvOptions& options);
   /// Reads a file block by block; short reads pass through unchanged.
   CsvRecordReader(RetryingFileStream& in, const CsvOptions& options);
-  /// Reads any stream block by block.
-  CsvRecordReader(std::istream& in, const CsvOptions& options);
 
   CsvRecordReader(const CsvRecordReader&) = delete;
   CsvRecordReader& operator=(const CsvRecordReader&) = delete;
@@ -79,8 +76,6 @@ class CsvRecordReader {
   /// or on malformed input (then `status()` is non-OK). The views stay
   /// valid until the next call.
   bool Next(std::vector<std::string_view>* fields);
-  /// Same, copying each field.
-  bool Next(std::vector<std::string>* fields);
 
   /// OK until malformed input is hit, then the (sticky) parse error.
   const Status& status() const { return status_; }
@@ -122,8 +117,8 @@ class CsvRecordReader {
   const char* RecordData() const { return data_ + pos_; }
 
   const CsvOptions options_;
-  /// Block source; empty for in-memory text.
-  std::function<size_t(char*, size_t)> read_;
+  /// Block source; null for in-memory text.
+  RetryingFileStream* file_ = nullptr;
   std::vector<char> buffer_;  ///< owned window storage (block sources)
   const char* data_ = nullptr;
   size_t end_ = 0;  ///< bytes in the window
@@ -138,7 +133,6 @@ class CsvRecordReader {
   std::string scratch_;
   /// The last tokenized record's first byte (valid until the next call).
   const char* record_base_ = nullptr;
-  std::vector<std::string_view> views_;  ///< for the copying Next
   Status status_;
   size_t records_read_ = 0;
 };
@@ -148,12 +142,20 @@ class CsvRecordReader {
 /// This replaces the paper's ODBC access path: the single pass over the
 /// data that builds the stripped partition database starts from here.
 /// Rejects ragged rows (IoError) and empty inputs (InvalidArgument).
+///
+/// A non-null `ctx` governs the load: every 1024 records and once after
+/// the last, the builder's working set (a code per cell, each distinct
+/// value once) is charged to it and the `alloc/streaming` fault site and
+/// the context are polled. A trip fails the load with the context's
+/// status; a partial relation would yield wrong FDs, not partial ones.
 Result<Relation> ReadCsvRelation(const std::string& path,
-                                 const CsvOptions& options = {});
+                                 const CsvOptions& options = {},
+                                 RunContext* ctx = nullptr);
 
 /// Parses CSV from an already-loaded string, tokenizing it in place.
 Result<Relation> ParseCsvRelation(const std::string& content,
-                                  const CsvOptions& options = {});
+                                  const CsvOptions& options = {},
+                                  RunContext* ctx = nullptr);
 
 /// Writes a relation back out as CSV (with header). Quotes fields that
 /// contain the delimiter, quotes or newlines.

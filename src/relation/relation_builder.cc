@@ -76,6 +76,7 @@ ValueCode RelationBuilder::Encode(size_t a, std::string_view value,
   std::vector<std::string>& dictionary = dictionaries_[a];
   if (has_null_token_ && value == null_token_) {
     // NULLs agree with nothing: each occurrence is its own value.
+    value_bytes_ += value.size();
     dictionary.emplace_back(value);
     return static_cast<ValueCode>(dictionary.size() - 1);
   }
@@ -85,6 +86,7 @@ ValueCode RelationBuilder::Encode(size_t a, std::string_view value,
     const uint64_t slot = index.slots[i];
     if (slot == 0) {
       const ValueCode code = static_cast<ValueCode>(dictionary.size());
+      value_bytes_ += value.size();
       dictionary.emplace_back(value);
       index.slots[i] = (tag << 32) | (static_cast<uint64_t>(code) + 1);
       ++index.used;
@@ -140,6 +142,7 @@ Status RelationBuilder::AddCodedRow(const std::vector<ValueCode>& codes) {
     while (dictionaries_[a].size() <= codes[a]) {
       std::string value = std::to_string(dictionaries_[a].size());
       value.insert(value.begin(), 'v');
+      value_bytes_ += value.size();
       dictionaries_[a].push_back(std::move(value));
     }
     columns_[a].push_back(codes[a]);

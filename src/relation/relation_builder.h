@@ -40,6 +40,11 @@ class RelationBuilder {
   Status AddCodedRow(const std::vector<ValueCode>& codes);
 
   size_t num_rows() const { return num_rows_; }
+  /// The working set a governed load charges: one code per cell plus
+  /// each dictionary value's bytes.
+  size_t working_bytes() const {
+    return num_rows_ * columns_.size() * sizeof(ValueCode) + value_bytes_;
+  }
 
   /// Finalizes into an immutable Relation. The builder is consumed.
   Result<Relation> Finish() &&;
@@ -63,6 +68,7 @@ class RelationBuilder {
   std::string null_token_;
   std::vector<std::vector<ValueCode>> columns_;
   std::vector<std::vector<std::string>> dictionaries_;
+  size_t value_bytes_ = 0;  ///< bytes of every dictionary value
   std::vector<ValueIndex> index_;
   /// Per-row scratch: the values' hash tags, and views of a string row.
   std::vector<uint64_t> tags_;

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include "common/trace.h"
 #include "core/lhs.h"
 #include "fault/fault.h"
 #include "storage/atomic_file.h"
@@ -350,12 +351,17 @@ Result<CheckpointedMineResult> MineCsvWithCheckpoints(
     return st;
   };
 
+  // Each phase runs under the span MineDependencies times it with; here
+  // `phase/strip` also covers the CSV parse.
   if (ckpt.phase == MinePhase::kNone) {
     StreamingOptions sopt;
     sopt.csv = options.csv;
     sopt.value_sample_size = 0;  // discovery only; no Armstrong values
     sopt.run_context = ctx;
-    Result<StreamingExtract> extract = ExtractFromCsv(path, sopt);
+    Result<StreamingExtract> extract = [&] {
+      PhaseTimer strip_timer("phase/strip", nullptr);
+      return ExtractFromCsv(path, sopt);
+    }();
     if (!extract.ok()) return extract.status();
     ckpt.fingerprint = fp.value();
     ckpt.algorithm = options.algorithm;
@@ -372,10 +378,12 @@ Result<CheckpointedMineResult> MineCsvWithCheckpoints(
     AgreeSetOptions aopt;
     aopt.num_threads = options.num_threads;
     aopt.run_context = ctx;
-    AgreeSetResult agree =
-        options.algorithm == AgreeSetAlgorithm::kIdentifiers
-            ? ComputeAgreeSetsIdentifiers(ckpt.partitions, aopt)
-            : ComputeAgreeSetsCouples(ckpt.partitions, aopt);
+    AgreeSetResult agree = [&] {
+      PhaseTimer agree_timer("phase/agree", nullptr);
+      return options.algorithm == AgreeSetAlgorithm::kIdentifiers
+                 ? ComputeAgreeSetsIdentifiers(ckpt.partitions, aopt)
+                 : ComputeAgreeSetsCouples(ckpt.partitions, aopt);
+    }();
     if (!agree.status.ok()) {
       // The kStrip checkpoint on disk stays the resume point.
       out.complete = false;
@@ -389,8 +397,10 @@ Result<CheckpointedMineResult> MineCsvWithCheckpoints(
   }
 
   if (ckpt.phase == MinePhase::kAgree) {
-    MaxSetResult max_sets =
-        ComputeMaxSets(ckpt.agree, options.num_threads, ctx);
+    MaxSetResult max_sets = [&] {
+      PhaseTimer max_timer("phase/cmax", nullptr);
+      return ComputeMaxSets(ckpt.agree, options.num_threads, ctx);
+    }();
     if (!max_sets.status.ok()) {
       out.complete = false;
       out.run_status = max_sets.status;
@@ -403,8 +413,14 @@ Result<CheckpointedMineResult> MineCsvWithCheckpoints(
   }
 
   if (ckpt.phase == MinePhase::kCmax) {
-    LhsResult lhs = ComputeLhs(ckpt.max_sets, options.num_threads, ctx);
-    FdSet fds = OutputFds(lhs);
+    LhsResult lhs = [&] {
+      PhaseTimer lhs_timer("phase/lhs", nullptr);
+      return ComputeLhs(ckpt.max_sets, options.num_threads, ctx);
+    }();
+    FdSet fds = [&] {
+      PhaseTimer output_timer("phase/output", nullptr);
+      return OutputFds(lhs);
+    }();
     if (!lhs.status.ok()) {
       // Salvage the finished attributes' FDs for the caller, but do not
       // checkpoint them: kCover means *the* cover, not part of one.

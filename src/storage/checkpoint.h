@@ -66,8 +66,8 @@ std::string CheckpointPathFor(const std::string& dir, const Fingerprint& fp,
                               AgreeSetAlgorithm algorithm);
 
 /// Options for `MineCsvWithCheckpoints`. Only the couples and identifiers
-/// algorithms are supported (the naive one needs the materialized
-/// relation, which streaming extraction never builds).
+/// algorithms are supported (the naive one reads the relation, which the
+/// extraction releases once r̂ is built).
 struct CheckpointedMineOptions {
   AgreeSetAlgorithm algorithm = AgreeSetAlgorithm::kCouples;
   size_t num_threads = 1;

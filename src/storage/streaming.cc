@@ -1,126 +1,36 @@
 #include "storage/streaming.h"
 
-#include <unordered_map>
-
-#include "common/file_reader.h"
 #include "core/armstrong.h"
 #include "core/dep_miner.h"
-#include "fault/fault.h"
 
 namespace depminer {
 
 namespace {
 
-Result<StreamingExtract> ExtractFromRecords(CsvRecordReader& reader,
-                                            const StreamingOptions& options,
-                                            const std::string& origin) {
-  RunContext* ctx = options.run_context;
-  ScopedMemoryCharge memory(ctx);
-
+/// r̂, the Proposition 1 counts and the value samples, read off a loaded
+/// relation. The relation dies with the caller's temporary: only r̂ and
+/// the samples outlive the extraction.
+Result<StreamingExtract> ExtractFrom(const Result<Relation>& loaded,
+                                     const StreamingOptions& options) {
+  if (!loaded.ok()) return loaded.status();
+  const Relation& relation = loaded.value();
   StreamingExtract out;
-  // Per column: value → dense code, and the tuple ids per code (the
-  // unstripped partition, kept as dynamically growing buckets).
-  std::vector<std::unordered_map<std::string, ValueCode>> code_of;
-  std::vector<std::vector<EquivalenceClass>> buckets;
-
-  // Running working-set estimate charged against a memory budget: one
-  // TupleId per cell (the partition memberships) plus the dictionary
-  // strings with a nominal per-entry overhead.
-  constexpr size_t kDictEntryOverhead = 64;
-  constexpr size_t kCheckEveryRecords = 1024;
-  size_t working_bytes = 0;
-
-  std::vector<std::string> fields;
-  size_t record_no = 0;
-  bool have_schema = false;
-  while (reader.Next(&fields)) {
-    ++record_no;
-    if (record_no % kCheckEveryRecords == 0) {
-      DEPMINER_FAULT_ALLOC("alloc/streaming", ctx);
-      if (ctx != nullptr && ctx->limited()) {
-        memory.Set(working_bytes);
-        // A partial extraction has wrong (not partial) partitions, so a
-        // trip here fails the pass outright.
-        DEPMINER_CHECK_RUN(ctx);
-      }
-    }
-    if (!have_schema) {
-      if (options.csv.has_header) {
-        out.schema = Schema(std::move(fields));
-      } else {
-        out.schema = Schema::Default(fields.size());
-      }
-      const size_t n = out.schema.num_attributes();
-      if (n == 0) {
-        return Status::InvalidArgument(origin + ": no attributes");
-      }
-      if (n > AttributeSet::kMaxAttributes) {
-        return Status::CapacityExceeded(origin + ": too many attributes");
-      }
-      code_of.resize(n);
-      buckets.resize(n);
-      out.distinct_counts.assign(n, 0);
-      out.value_samples.resize(n);
-      have_schema = true;
-      if (options.csv.has_header) continue;
-    }
-    const size_t n = out.schema.num_attributes();
-    if (fields.size() != n) {
-      return Status::IoError(origin + ": record " + std::to_string(record_no) +
-                             " has " + std::to_string(fields.size()) +
-                             " fields, expected " + std::to_string(n));
-    }
-    const TupleId tuple = static_cast<TupleId>(out.num_tuples);
-    for (size_t a = 0; a < n; ++a) {
-      if (options.csv.nulls_distinct && fields[a] == options.csv.null_token) {
-        // NULLs agree with nothing: a fresh singleton class, which the
-        // stripping below immediately discards. Each NULL counts as a
-        // distinct value (as in the in-memory path) but is never sampled
-        // — Armstrong samples must carry real values.
-        buckets[a].emplace_back().push_back(tuple);
-        ++out.distinct_counts[a];
+  out.schema = relation.schema();
+  out.num_tuples = relation.num_tuples();
+  out.partitions = StrippedPartitionDatabase::FromRelation(relation);
+  for (AttributeId a = 0; a < relation.num_attributes(); ++a) {
+    out.distinct_counts.push_back(relation.DistinctCount(a));
+    std::vector<std::string>& sample = out.value_samples.emplace_back();
+    for (const std::string& value : relation.Dictionary(a)) {
+      if (sample.size() == options.value_sample_size) break;
+      // Each NULL has a code of its own but is no real value: Armstrong
+      // samples never carry one. No other entry equals the token.
+      if (options.csv.nulls_distinct && value == options.csv.null_token) {
         continue;
       }
-      auto [it, inserted] = code_of[a].try_emplace(
-          fields[a], static_cast<ValueCode>(buckets[a].size()));
-      if (inserted) {
-        buckets[a].emplace_back();
-        ++out.distinct_counts[a];
-        working_bytes += fields[a].size() + kDictEntryOverhead;
-        if (out.value_samples[a].size() < options.value_sample_size) {
-          out.value_samples[a].push_back(fields[a]);
-        }
-      }
-      buckets[a][it->second].push_back(tuple);
-      working_bytes += sizeof(TupleId);
+      sample.push_back(value);
     }
-    ++out.num_tuples;
   }
-  if (!reader.status().ok()) {
-    return Status::InvalidArgument(origin + ": " + reader.status().message());
-  }
-
-  if (!have_schema) {
-    return Status::InvalidArgument(origin + ": empty CSV input");
-  }
-
-  // Final charge before the stripping allocation below — also the one
-  // alloc/streaming poll every input reaches (the in-loop poll only runs
-  // every 1024 records).
-  memory.Set(working_bytes);
-  DEPMINER_FAULT_ALLOC("alloc/streaming", ctx);
-  DEPMINER_CHECK_RUN(ctx);
-
-  // Strip: only classes of size > 1 survive; this is where the memory
-  // usually collapses (the paper's "small representation of a relation").
-  std::vector<StrippedPartition> partitions;
-  partitions.reserve(buckets.size());
-  for (auto& column_buckets : buckets) {
-    partitions.emplace_back(std::move(column_buckets), out.num_tuples);
-    column_buckets.clear();
-  }
-  out.partitions = StrippedPartitionDatabase::FromParts(std::move(partitions),
-                                                        out.num_tuples);
   return out;
 }
 
@@ -128,20 +38,14 @@ Result<StreamingExtract> ExtractFromRecords(CsvRecordReader& reader,
 
 Result<StreamingExtract> ExtractFromCsv(const std::string& path,
                                         const StreamingOptions& options) {
-  RetryingFileStream in(path);
-  if (!in.is_open()) return in.status();
-  CsvRecordReader reader(in, options.csv);
-  Result<StreamingExtract> result = ExtractFromRecords(reader, options, path);
-  // A mid-file read error is EOF to the record reader; without this check
-  // the extraction would silently cover a truncated prefix of the data.
-  if (!in.status().ok()) return in.status();
-  return result;
+  return ExtractFrom(ReadCsvRelation(path, options.csv, options.run_context),
+                     options);
 }
 
 Result<StreamingExtract> ExtractFromCsvText(const std::string& content,
                                             const StreamingOptions& options) {
-  CsvRecordReader reader(std::string_view(content), options.csv);
-  return ExtractFromRecords(reader, options, "<string>");
+  return ExtractFrom(
+      ParseCsvRelation(content, options.csv, options.run_context), options);
 }
 
 Result<StreamingMineResult> MineCsvStreaming(const std::string& path,

@@ -22,18 +22,17 @@ struct StreamingOptions {
   /// the first `value_sample_size` in first-occurrence order). 0 keeps
   /// none (discovery only).
   size_t value_sample_size = 4096;
-  /// Optional resource governance: the extraction pass checks it every
-  /// ~1024 records and charges its growing working set (dictionaries +
-  /// partition buckets) against the memory budget; mining and Armstrong
-  /// construction inherit it. A trip during extraction fails the whole
-  /// pass (a partial partition database would yield wrong FDs, not
-  /// partial ones); a trip later degrades gracefully — see
+  /// Optional resource governance: the CSV load charges its working set
+  /// and checks it every 1024 records (see ReadCsvRelation); mining and
+  /// Armstrong construction inherit it. A trip during extraction fails
+  /// the whole pass (a partial partition database would yield wrong FDs,
+  /// not partial ones); a trip later degrades gracefully — see
   /// StreamingMineResult::complete.
   RunContext* run_context = nullptr;
 };
 
-/// What one streaming pass over a CSV produces: exactly the inputs
-/// Dep-Miner needs, without ever materializing the relation.
+/// What one pass over a CSV leaves behind: exactly the inputs Dep-Miner
+/// needs, and not the relation.
 ///
 /// This realizes the paper's operating model (§1, §3): "our approach is
 /// defined under the assumption of limited main memory resources and its
@@ -41,9 +40,10 @@ struct StreamingOptions {
 /// database accesses are only performed during the computation of agree
 /// sets, Dep-Miner takes in input a small representation of a relation" —
 /// the stripped partition database. Where the paper pulled rows from a
-/// DBMS over ODBC, we stream them from CSV; memory is
-/// O(distinct values + partition memberships), never O(rows × row width)
-/// of string data.
+/// DBMS over ODBC, we read them from CSV through the shared loader: the
+/// dictionary-encoded relation (a code per cell, each distinct value
+/// once) lives only until r̂ is stripped from it, and the extract keeps
+/// r̂ plus the value samples — never O(rows × row width) of string data.
 struct StreamingExtract {
   Schema schema;
   StrippedPartitionDatabase partitions;
@@ -55,19 +55,21 @@ struct StreamingExtract {
   size_t num_tuples = 0;
 };
 
-/// Runs the single pass.
+/// Runs the single pass: `ReadCsvRelation`, then
+/// `StrippedPartitionDatabase::FromRelation`, then the counts and samples
+/// off the relation's dictionaries, then the relation is released.
 Result<StreamingExtract> ExtractFromCsv(const std::string& path,
                                         const StreamingOptions& options = {});
 
-/// Streaming variant over in-memory CSV text (tests).
+/// The same over in-memory CSV text, through `ParseCsvRelation` (tests).
 Result<StreamingExtract> ExtractFromCsvText(const std::string& content,
                                             const StreamingOptions& options = {});
 
 /// End-to-end streaming mining: one pass over the CSV, Dep-Miner on the
 /// extracted stripped partition database, real-world Armstrong relation
 /// from the retained value samples. Equivalent to
-/// `MineDependencies(ReadCsvRelation(path))` but never holds the
-/// relation's values in memory (beyond the per-column samples).
+/// `MineDependencies(ReadCsvRelation(path))` but holds no relation while
+/// mining (only r̂ and the per-column samples).
 struct StreamingMineResult {
   StreamingExtract extract;
   FdSet fds;

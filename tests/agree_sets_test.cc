@@ -292,6 +292,35 @@ TEST(AgreeSetsBudget, BudgetBelowTheLabelTableStopsBeforeAnyCouple) {
   }
 }
 
+// The couple keys and the radix sort's scratch copy are charged too,
+// before they are generated: a budget that affords the label table (and
+// Algorithm 3's ec lists) but not the keys still stops either algorithm
+// before a single couple.
+TEST(AgreeSetsBudget, BudgetBelowTheCoupleKeysStopsBeforeAnyCouple) {
+  const Relation r = RandomRelation(6, 120, 3, 7);
+  const StrippedPartitionDatabase db = Db(r);
+  const size_t label_bytes = ClassLabelTable::BytesFor(db);
+  const size_t ec_bytes = db.TotalMemberships() * sizeof(uint64_t);
+  // An ungoverned Algorithm 2 run reports the label table plus the keys.
+  const size_t key_bytes =
+      ComputeAgreeSetsCouples(db).working_bytes - label_bytes;
+  ASSERT_GT(key_bytes, std::max(label_bytes, ec_bytes));
+  for (const bool identifiers : {false, true}) {
+    RunContext ctx;
+    ctx.SetMemoryBudget(label_bytes + ec_bytes);
+    AgreeSetOptions options;
+    options.run_context = &ctx;
+    const AgreeSetResult agree = identifiers
+                                     ? ComputeAgreeSetsIdentifiers(db, options)
+                                     : ComputeAgreeSetsCouples(db, options);
+    EXPECT_EQ(agree.status.code(), StatusCode::kCapacityExceeded)
+        << (identifiers ? "identifiers" : "couples");
+    EXPECT_EQ(agree.couples_examined, 0u)
+        << (identifiers ? "identifiers" : "couples");
+    EXPECT_TRUE(agree.sets.empty());
+  }
+}
+
 TEST(MaximalEquivalenceClasses, ThreadCountInvariance) {
   const Relation r = RandomRelation(10, 300, 3, 99);
   const StrippedPartitionDatabase db = Db(r);

@@ -7,6 +7,7 @@
 
 #include "core/dep_miner.h"
 #include "fd/naive_discovery.h"
+#include "relation/csv.h"
 #include "relation/relation_builder.h"
 #include "test_util.h"
 
@@ -102,6 +103,30 @@ TEST(RealWorldArmstrong, ValuesComeFromInitialRelation) {
                 column.end());
     }
   }
+}
+
+// Under SQL NULL semantics each NULL gets a code of its own, yet every
+// NULL reads as the token: Equation 2 must count the token as one value,
+// or two "distinct" values it hands out are one string and agree.
+TEST(RealWorldArmstrong, NullTokenIsOneValue) {
+  CsvOptions csv;
+  csv.nulls_distinct = true;
+  csv.null_token = "NA";
+  Result<Relation> r = ParseCsvRelation(
+      "a,b,c\nNA,NA,1\n1,NA,1\n2,x,2\n3,x,3\n3,y,4\n", csv);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  Result<DepMinerResult> mined = MineDependencies(r.value());
+  ASSERT_TRUE(mined.ok());
+  const std::vector<AttributeSet>& max_sets = mined.value().all_max_sets;
+  EXPECT_TRUE(RealWorldArmstrongExists(r.value(), max_sets).ok());
+  ASSERT_TRUE(mined.value().armstrong.has_value())
+      << mined.value().armstrong_status.ToString();
+  const Relation& sample = *mined.value().armstrong;
+  EXPECT_EQ(sample.num_tuples(), 4u);
+  EXPECT_TRUE(IsArmstrongFor(sample, max_sets));
+  Result<DepMinerResult> remined = MineDependencies(sample);
+  ASSERT_TRUE(remined.ok());
+  EXPECT_EQ(remined.value().fds.fds(), mined.value().fds.fds());
 }
 
 TEST(IsArmstrongFor, AcceptsExactAndRejectsWrong) {

@@ -1,7 +1,8 @@
 # Scripted CLI test for crash-safe mining: interrupt a checkpointed mine
 # partway through the pipeline, then re-run the identical command and
 # check that it (a) announces the resume and (b) produces exactly the
-# cover an uninterrupted mine produces.
+# cover an uninterrupted mine produces. A fresh checkpointed mine also
+# honours --metrics and --trace like a plain one.
 
 set(DIR ${WORK}/cli_checkpoint_dir)
 file(REMOVE_RECURSE ${DIR})
@@ -67,3 +68,34 @@ if(NOT resumed_output STREQUAL ref_output)
 endif()
 
 file(REMOVE_RECURSE ${DIR})
+
+# Observability: the checkpointed phases run inside the trace session.
+if(TRACING)
+  file(MAKE_DIRECTORY ${DIR})
+  set(TRACE ${WORK}/cli_checkpoint_trace.json)
+  file(REMOVE ${TRACE})
+  execute_process(COMMAND ${FDTOOL} mine ${DATA}/employees.csv
+                  --checkpoint-dir=${DIR} --metrics --trace=${TRACE}
+                  RESULT_VARIABLE traced_result
+                  OUTPUT_VARIABLE traced_output
+                  ERROR_VARIABLE traced_stderr)
+  if(NOT traced_result EQUAL 0)
+    message(FATAL_ERROR "traced checkpointed mine failed: ${traced_stderr}")
+  endif()
+  if(NOT traced_stderr MATCHES "phase/agree")
+    message(FATAL_ERROR "--metrics printed no phase/agree: ${traced_stderr}")
+  endif()
+  if(NOT traced_output STREQUAL ref_output)
+    message(FATAL_ERROR "traced checkpointed cover differs from the "
+            "reference:\n${traced_output}")
+  endif()
+  if(NOT EXISTS ${TRACE})
+    message(FATAL_ERROR "--trace wrote no file")
+  endif()
+  file(READ ${TRACE} trace_json)
+  if(NOT trace_json MATCHES "\"traceEvents\": *\\[ *{")
+    message(FATAL_ERROR "--trace wrote no events: ${trace_json}")
+  endif()
+  file(REMOVE ${TRACE})
+  file(REMOVE_RECURSE ${DIR})
+endif()

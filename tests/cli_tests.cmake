@@ -262,6 +262,7 @@ add_test(NAME cli.checkpoint_resume
         -DDATA=${DATA}
         -DWORK=${CMAKE_CURRENT_BINARY_DIR}
         -DFAULTS=${DEPMINER_FAULTS}
+        -DTRACING=${DEPMINER_TRACING}
         -P ${CMAKE_CURRENT_SOURCE_DIR}/cli_checkpoint_test.cmake)
 
 # Fault injection: the sweep holds on a small slice, a debug-injected

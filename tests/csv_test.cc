@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 
 #include "common/rng.h"
 #include "fault/fault.h"
@@ -206,9 +205,9 @@ TEST(Csv, LeadingBlankLinesBeforeHeaderAreSkipped) {
 }
 
 TEST(Csv, ReaderStatusIsStickyAfterMalformedInput) {
-  std::istringstream in("a,b\n\"open\n");
-  CsvRecordReader reader(in, CsvOptions{});
-  std::vector<std::string> fields;
+  const std::string text = "a,b\n\"open\n";
+  CsvRecordReader reader(std::string_view(text), CsvOptions{});
+  std::vector<std::string_view> fields;
   ASSERT_TRUE(reader.Next(&fields));  // the header
   EXPECT_FALSE(reader.Next(&fields));
   EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);

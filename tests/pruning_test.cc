@@ -441,6 +441,37 @@ TEST(PruningRanking, CacheCountersCountTheRankingPass) {
   session.Stop();
   EXPECT_EQ(session.counters().count("partition_cache.hits"), 0u);
 }
+
+// A ranked Dep-Miner mine strips r̂ once, for the ranking's cache, and
+// mines that same database: its output is the unranked cover ranked
+// afterwards, byte for byte.
+TEST(PruningRanking, RankedDepMinerStripsOnce) {
+  const Relation r = RandomRelation(8, 40, 4, 41);
+  for (const char* algo : {"depminer", "depminer2"}) {
+    MineRequest request;
+    request.mining.top_k = 3;
+    TraceSession session;
+    session.Start();
+    Result<MineOutcome> ranked = MineByName(r, algo, request);
+    session.Stop();
+    ASSERT_TRUE(ranked.ok()) << algo;
+    size_t strips = 0;
+    for (const TraceEvent& e : session.events()) {
+      strips += std::string(e.name) == "phase/strip";
+    }
+    EXPECT_EQ(strips, 1u) << algo;
+
+    Result<MineOutcome> expected = MineByName(r, algo);
+    ASSERT_TRUE(expected.ok()) << algo;
+    expected.value().ranked =
+        RankFds(expected.value().fds,
+                StrippedPartitionDatabase::FromRelation(r), 3)
+            .ranked;
+    EXPECT_EQ(RenderCover(ranked.value(), r.schema()),
+              RenderCover(expected.value(), r.schema()))
+        << algo;
+  }
+}
 #endif  // DEPMINER_TRACING_ENABLED
 
 // ---------------------------------------------------------------- options
