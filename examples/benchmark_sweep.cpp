@@ -47,8 +47,13 @@ int main(int argc, char** argv) {
     const char* name = algorithm == AgreeSetAlgorithm::kCouples
                            ? "Dep-Miner  (Alg. 2)"
                            : "Dep-Miner 2 (Alg. 3)";
-    std::printf("\n%s: %.3f s total\n  %s\n", name, total,
-                mined.value().stats.ToString().c_str());
+    const DepMinerStats& stats = mined.value().stats;
+    std::printf(
+        "\n%s: %.3f s total\n  agree %.3f s (%zu couples, %zu agree sets), "
+        "cmax %.3f s (%zu maximal sets), lhs %.3f s, armstrong %.3f s\n",
+        name, total, stats.agree_seconds, stats.num_couples,
+        stats.num_agree_sets, stats.max_seconds, stats.num_max_sets,
+        stats.lhs_seconds, stats.armstrong_seconds);
     if (reference.Empty()) {
       reference = mined.value().fds;
     } else if (mined.value().fds.fds() != reference.fds()) {
@@ -64,8 +69,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", tane.status().ToString().c_str());
     return 1;
   }
-  std::printf("\nTANE: %.3f s total\n  %s\n", tane_total,
-              tane.value().stats.ToString().c_str());
+  const TaneStats& stats = tane.value().stats;
+  std::printf(
+      "\nTANE: %.3f s total\n  %zu levels, %zu candidates, %zu partition "
+      "products, peak partitions %.1f MB\n",
+      tane_total, stats.levels, stats.candidates_generated,
+      stats.partition_products,
+      static_cast<double>(stats.peak_partition_bytes) / (1024.0 * 1024.0));
   if (tane.value().fds.fds() != reference.fds()) {
     std::fprintf(stderr, "FD MISMATCH between TANE and Dep-Miner\n");
     return 1;

@@ -308,8 +308,7 @@ int CmdMine(const Relation& relation, const ArgParser& args) {
   if (!outcome.complete) {
     Log(LogLevel::kWarn, "fdtool",
         "run interrupted (" + outcome.run_status.ToString() +
-            "); partial results:\n" + outcome.stats + "\n" +
-            std::to_string(outcome.fds.size()) +
+            "); partial results:\n" + std::to_string(outcome.fds.size()) +
             " minimal FDs (possibly incomplete)",
         {LogStr("status", outcome.run_status.ToString()),
          LogNum("fds", static_cast<uint64_t>(outcome.fds.size()))});
@@ -364,15 +363,18 @@ int CmdMineCheckpointed(const ArgParser& args) {
         {LogStr("phase", ToString(outcome.resumed_from)),
          LogStr("path", outcome.checkpoint_path)});
   }
-  const std::string out = args.GetString("out", "");
-  if (!out.empty()) {
-    Status st = SaveFdSet(outcome.fds, outcome.schema, out);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
+  {
+    PhaseTimer render_timer("phase/render", nullptr);
+    const std::string out = args.GetString("out", "");
+    if (!out.empty()) {
+      Status st = SaveFdSet(outcome.fds, outcome.schema, out);
+      if (!st.ok()) {
+        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+        return 1;
+      }
+    } else {
+      std::fputs(RenderCover(outcome.fds, outcome.schema).c_str(), stdout);
     }
-  } else {
-    std::fputs(RenderCover(outcome.fds, outcome.schema).c_str(), stdout);
   }
   if (!outcome.complete) {
     Log(LogLevel::kWarn, "checkpoint",

@@ -93,6 +93,11 @@ int main(int argc, char** argv) {
                 result.armstrong_status.ToString().c_str());
   }
 
-  std::printf("\nPipeline statistics: %s\n", result.stats.ToString().c_str());
+  const DepMinerStats& stats = result.stats;
+  std::printf(
+      "\nPipeline statistics: %zu couples, %zu agree sets, %zu maximal "
+      "sets, %zu FDs in %.3f s\n",
+      stats.num_couples, stats.num_agree_sets, stats.num_max_sets,
+      stats.num_fds, stats.Total());
   return 0;
 }

@@ -109,8 +109,8 @@ Result<Fingerprint> FingerprintFile(const std::string& path) {
   if (!in.is_open()) return in.status();
   Fingerprinter hasher;
   char buf[64 * 1024];
-  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-    hasher.UpdateBytes(buf, static_cast<size_t>(in.gcount()));
+  while (const size_t got = in.ReadBlock(buf, sizeof(buf))) {
+    hasher.UpdateBytes(buf, got);
   }
   if (!in.status().ok()) return in.status();
   return hasher.Finish();

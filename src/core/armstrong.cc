@@ -1,8 +1,9 @@
 #include "core/armstrong.h"
 
 #include <algorithm>
-#include <string_view>
-#include <unordered_set>
+#include <bit>
+#include <cstdint>
+#include <functional>
 
 #include "common/trace.h"
 #include "relation/relation_builder.h"
@@ -43,21 +44,28 @@ Status CheckProposition1(const Schema& schema, AttributeId a, size_t count,
       " (Proposition 1)");
 }
 
-/// Equation 2's values of column `a`: its distinct strings in
-/// first-occurrence order. Under SQL NULL semantics each NULL has a code
-/// of its own, yet they all read as the one token — one value here, or
-/// two "distinct" cells of the built relation would agree.
-std::vector<std::string> DistinctValues(const Relation& relation,
-                                        AttributeId a) {
-  std::unordered_set<std::string_view> seen;
-  std::vector<std::string> values;
-  for (const std::string& value : relation.Dictionary(a)) {
-    if (seen.insert(value).second) values.push_back(value);
-  }
-  return values;
-}
-
 }  // namespace
+
+size_t ArmstrongValues(const Relation& relation, AttributeId a, size_t limit,
+                       std::vector<std::string>* values) {
+  const std::vector<std::string>& dictionary = relation.Dictionary(a);
+  // Open addressing over dictionary positions (+1; 0 is vacant). A loaded
+  // dictionary repeats only the NULL token, one entry per NULL cell, so a
+  // probe seldom compares strings.
+  std::vector<uint32_t> slots(std::bit_ceil(2 * dictionary.size() + 1));
+  const size_t mask = slots.size() - 1;
+  size_t count = 0;
+  for (uint32_t i = 0; i < dictionary.size(); ++i) {
+    size_t s = std::hash<std::string>{}(dictionary[i]) & mask;
+    while (slots[s] != 0 && dictionary[slots[s] - 1] != dictionary[i]) {
+      s = (s + 1) & mask;
+    }
+    if (slots[s] != 0) continue;
+    slots[s] = i + 1;
+    if (count++ < limit) values->push_back(dictionary[i]);
+  }
+  return count;
+}
 
 Result<Relation> BuildSyntheticArmstrong(
     const Schema& schema, const std::vector<AttributeSet>& max_sets) {
@@ -93,7 +101,7 @@ Status RealWorldArmstrongExists(const Relation& relation,
                                 const std::vector<AttributeSet>& max_sets) {
   for (AttributeId a = 0; a < relation.num_attributes(); ++a) {
     DEPMINER_RETURN_NOT_OK(CheckProposition1(
-        relation.schema(), a, DistinctValues(relation, a).size(),
+        relation.schema(), a, ArmstrongValues(relation, a, 0, nullptr),
         ValuesNeeded(a, max_sets)));
   }
   return Status::OK();
@@ -105,8 +113,8 @@ Result<Relation> BuildRealWorldArmstrong(
   std::vector<std::vector<std::string>> samples;
   std::vector<size_t> counts;
   for (AttributeId a = 0; a < relation.num_attributes(); ++a) {
-    samples.push_back(DistinctValues(relation, a));
-    counts.push_back(samples.back().size());
+    counts.push_back(ArmstrongValues(relation, a, SIZE_MAX,
+                                     &samples.emplace_back()));
   }
   return BuildRealWorldArmstrongFromSamples(relation.schema(), samples,
                                             counts, max_sets, ctx);

@@ -29,6 +29,16 @@ namespace depminer {
 Result<Relation> BuildSyntheticArmstrong(
     const Schema& schema, const std::vector<AttributeSet>& max_sets);
 
+/// Equation 2's values of column `a`: its distinct strings in
+/// first-occurrence order. Under SQL NULL semantics each NULL has a code
+/// of its own, yet they all read as the one token — one value here, or
+/// two "distinct" cells of a built relation would agree. Appends the
+/// first `limit` of them to `*values` (which may be null when `limit` is
+/// 0) and returns how many there are. The relation route and the
+/// streamed route (storage/streaming.h) both count and sample through it.
+size_t ArmstrongValues(const Relation& relation, AttributeId a, size_t limit,
+                       std::vector<std::string>* values);
+
 /// Existence condition for a *real-world* Armstrong relation (paper
 /// Proposition 1): for every attribute A the initial relation must carry
 /// at least |{X ∈ MAX(dep(r)) : A ∉ X}| + 1 distinct values. Values are
@@ -52,8 +62,8 @@ Result<Relation> BuildRealWorldArmstrong(
     RunContext* ctx = nullptr);
 
 /// Streaming variant of the real-world construction: builds from
-/// per-column value *samples* (first-occurrence-ordered distinct values)
-/// and true distinct counts instead of a materialized relation — the
+/// per-column value *samples* (the first `ArmstrongValues`) and the full
+/// `ArmstrongValues` counts instead of a materialized relation — the
 /// storage/streaming.h path. Fails with FailedPrecondition if Proposition
 /// 1 is violated (judged on `distinct_counts`), or with CapacityExceeded
 /// if a needed value was beyond the retained sample.

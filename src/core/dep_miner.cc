@@ -3,27 +3,8 @@
 #include "common/progress.h"
 #include "common/trace.h"
 #include "core/armstrong.h"
-#include "report/stats_format.h"
 
 namespace depminer {
-
-std::string DepMinerStats::ToString() const {
-  StatsLineBuilder b;
-  b.Seconds("strip", strip_seconds).Seconds("agree", agree_seconds);
-  b.BeginGroup()
-      .Count("couples", num_couples)
-      .Count("chunks", chunks)
-      .Count("agree_sets", num_agree_sets)
-      .Megabytes("working_mb", agree_working_bytes)
-      .EndGroup();
-  b.Seconds("max", max_seconds);
-  b.BeginGroup().Count("max_sets", num_max_sets).EndGroup();
-  b.Seconds("lhs", lhs_seconds)
-      .Seconds("armstrong", armstrong_seconds)
-      .Count("fds", num_fds)
-      .Seconds("total", Total());
-  return b.str();
-}
 
 namespace {
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/mining_options.h"
@@ -70,7 +69,6 @@ struct DepMinerStats {
     return strip_seconds + agree_seconds + max_seconds + lhs_seconds +
            armstrong_seconds;
   }
-  std::string ToString() const;
 };
 
 /// Result of a Dep-Miner run: every artifact of the paper's Figure 1

@@ -25,7 +25,6 @@ Result<MineOutcome> Outcome(Result<Mined> mined) {
   out.fds = std::move(mined.value().fds);
   out.complete = mined.value().complete;
   out.run_status = std::move(mined.value().run_status);
-  out.stats = mined.value().stats.ToString();
   return out;
 }
 

@@ -37,7 +37,6 @@ struct MineOutcome {
   std::vector<RankedFd> ranked;
   bool complete = true;
   Status run_status;  ///< trip cause when !complete
-  std::string stats;  ///< the miner's one-line stats
 };
 
 /// Runs the miner named `algo` (else `InvalidArgument`), the request passed

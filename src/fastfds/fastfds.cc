@@ -6,7 +6,6 @@
 #include "fault/fault.h"
 #include "core/agree_sets.h"
 #include "partition/partition_database.h"
-#include "report/stats_format.h"
 
 namespace depminer {
 
@@ -135,16 +134,6 @@ class CoverSearch {
 
 }  // namespace
 
-std::string FastFdsStats::ToString() const {
-  StatsLineBuilder b;
-  b.Count("difference_sets", difference_sets)
-      .Count("search_nodes", search_nodes)
-      .Count("pruned", candidates_pruned)
-      .Count("fds", num_fds)
-      .Seconds("total", total_seconds);
-  return b.str();
-}
-
 Result<FastFdsResult> FastFdsDiscover(const Relation& relation,
                                       RunContext* ctx) {
   FastFdsOptions options;
@@ -169,10 +158,7 @@ Result<FastFdsResult> FastFdsDiscover(const Relation& relation,
   DEPMINER_CHECK_RUN(ctx);
 
   FastFdsResult result;
-  // Span-owned accumulating timer; each exit path commits the elapsed
-  // time with an explicit Stop() (multi-exit functions cannot rely on a
-  // destructor that runs after the return value is built).
-  PhaseTimer phase_timer("phase/fastfds", &result.stats.total_seconds);
+  PhaseTimer phase_timer("phase/fastfds", nullptr);
 
   // Front end shared with Dep-Miner: agree sets from stripped partitions,
   // then difference sets D(r) = complements. The empty agree set (pairs
@@ -183,7 +169,6 @@ Result<FastFdsResult> FastFdsDiscover(const Relation& relation,
   if (!agree.status.ok()) {
     // A partial ag(r) yields a wrong (not merely partial) difference-set
     // family, so no cover search runs; only the front-end stats survive.
-    phase_timer.Stop();
     result.complete = false;
     result.run_status = agree.status;
     return result;
@@ -247,11 +232,9 @@ Result<FastFdsResult> FastFdsDiscover(const Relation& relation,
   }
 
   result.fds = FdSet(n, std::move(found));
-  result.stats.num_fds = result.fds.size();
   DEPMINER_TRACE_COUNTER("fastfds.search_nodes", result.stats.search_nodes);
   DEPMINER_TRACE_COUNTER("fastfds.candidates_pruned",
                          result.stats.candidates_pruned);
-  phase_timer.Stop();
   return result;
 }
 

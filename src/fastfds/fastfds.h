@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 #include "common/mining_options.h"
 #include "common/run_context.h"
 #include "common/status.h"
@@ -24,13 +22,10 @@ struct FastFdsOptions {
 
 /// Statistics of a FastFDs run.
 struct FastFdsStats {
-  double total_seconds = 0;
   size_t difference_sets = 0;  ///< distinct difference sets of r
   size_t search_nodes = 0;     ///< DFS nodes visited over all attributes
   /// DFS branches the arity cap kept from being visited.
   size_t candidates_pruned = 0;
-  size_t num_fds = 0;
-  std::string ToString() const;
 };
 
 /// Result of a FastFDs run.

@@ -4,19 +4,8 @@
 #include "fault/fault.h"
 #include "core/agree_sets.h"
 #include "core/max_sets.h"
-#include "report/stats_format.h"
 
 namespace depminer {
-
-std::string FdepStats::ToString() const {
-  StatsLineBuilder b;
-  b.Count("negative_cover", negative_cover_size)
-      .Count("specializations", specializations)
-      .Count("pruned", candidates_pruned)
-      .Count("fds", num_fds)
-      .Seconds("total", total_seconds);
-  return b.str();
-}
 
 Result<FdepResult> FdepDiscover(const Relation& relation, RunContext* ctx) {
   FdepOptions options;
@@ -41,9 +30,7 @@ Result<FdepResult> FdepDiscover(const Relation& relation,
   DEPMINER_CHECK_RUN(ctx);
 
   FdepResult result;
-  // Span-owned accumulating timer; each exit path commits the elapsed
-  // time with an explicit Stop() before returning.
-  PhaseTimer phase_timer("phase/fdep", &result.stats.total_seconds);
+  PhaseTimer phase_timer("phase/fdep", nullptr);
 
   // Negative cover: FDEP compares every pair of tuples (its defining
   // O(n·p²) bottom-up step — deliberately kept, it is what distinguishes
@@ -53,7 +40,6 @@ Result<FdepResult> FdepDiscover(const Relation& relation,
   if (!agree.status.ok()) {
     // A partial negative cover would under-constrain specialization and
     // admit invalid FDs, so induction never starts.
-    phase_timer.Stop();
     result.complete = false;
     result.run_status = agree.status;
     return result;
@@ -62,7 +48,6 @@ Result<FdepResult> FdepDiscover(const Relation& relation,
   if (!negative.status.ok()) {
     // Attributes skipped by an interrupted CMAX_SET have an *empty* list
     // of invalid lhs, which specialization would read as "∅ → A holds".
-    phase_timer.Stop();
     result.complete = false;
     result.run_status = negative.status;
     return result;
@@ -133,11 +118,9 @@ Result<FdepResult> FdepDiscover(const Relation& relation,
   }
 
   result.fds = FdSet(n, std::move(found));
-  result.stats.num_fds = result.fds.size();
   DEPMINER_TRACE_COUNTER("fdep.specializations", result.stats.specializations);
   DEPMINER_TRACE_COUNTER("fdep.candidates_pruned",
                          result.stats.candidates_pruned);
-  phase_timer.Stop();
   return result;
 }
 

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 #include "common/mining_options.h"
 #include "common/run_context.h"
 #include "common/status.h"
@@ -23,13 +21,10 @@ struct FdepOptions {
 
 /// Statistics of an FDEP run.
 struct FdepStats {
-  double total_seconds = 0;
   size_t negative_cover_size = 0;  ///< maximal invalid FD lhs, over all rhs
   size_t specializations = 0;      ///< candidate replacements explored
   /// Specializations the arity cap kept from being generated.
   size_t candidates_pruned = 0;
-  size_t num_fds = 0;
-  std::string ToString() const;
 };
 
 /// Result of an FDEP run.

@@ -308,20 +308,23 @@ Result<CheckpointedMineResult> MineCsvWithCheckpoints(
         "algorithms (naive needs the materialized relation)");
   }
 
-  Result<Fingerprint> fp = JobFingerprint(path, options.csv);
-  if (!fp.ok()) return fp.status();
-
-  // One level of directory creation (a deeper missing hierarchy is a
-  // caller mistake worth surfacing at the first save instead).
-  (void)::mkdir(options.checkpoint_dir.c_str(), 0755);
-
+  // The job key (a hash of the whole CSV), the resume probe and every
+  // boundary save run under `phase/checkpoint`, beside the mining phases.
   CheckpointedMineResult out;
-  out.fingerprint = fp.value();
-  out.checkpoint_path =
-      CheckpointPathFor(options.checkpoint_dir, fp.value(), options.algorithm);
-
   JobCheckpoint ckpt;
   {
+    PhaseTimer checkpoint_timer("phase/checkpoint", nullptr);
+    Result<Fingerprint> fp = JobFingerprint(path, options.csv);
+    if (!fp.ok()) return fp.status();
+
+    // One level of directory creation (a deeper missing hierarchy is a
+    // caller mistake worth surfacing at the first save instead).
+    (void)::mkdir(options.checkpoint_dir.c_str(), 0755);
+
+    out.fingerprint = fp.value();
+    out.checkpoint_path = CheckpointPathFor(options.checkpoint_dir,
+                                            fp.value(), options.algorithm);
+
     Result<JobCheckpoint> loaded = JobCheckpoint::Load(out.checkpoint_path);
     // No file bytes back the tuple count (stripped classes omit
     // singletons), yet the agree phase sizes its label table by it. Every
@@ -346,6 +349,7 @@ Result<CheckpointedMineResult> MineCsvWithCheckpoints(
   // kill-and-resume smoke targets "the k-th boundary" with trigger_hit=k
   // and gets a deterministic window while the checkpoint already exists.
   auto save = [&](const JobCheckpoint& c) -> Status {
+    PhaseTimer checkpoint_timer("phase/checkpoint", nullptr);
     Status st = c.Save(out.checkpoint_path);
     DEPMINER_FAULT_STALL("job/stall");
     return st;
@@ -363,7 +367,7 @@ Result<CheckpointedMineResult> MineCsvWithCheckpoints(
       return ExtractFromCsv(path, sopt);
     }();
     if (!extract.ok()) return extract.status();
-    ckpt.fingerprint = fp.value();
+    ckpt.fingerprint = out.fingerprint;
     ckpt.algorithm = options.algorithm;
     ckpt.phase = MinePhase::kStrip;
     ckpt.schema = std::move(extract.value().schema);

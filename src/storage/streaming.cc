@@ -19,17 +19,9 @@ Result<StreamingExtract> ExtractFrom(const Result<Relation>& loaded,
   out.num_tuples = relation.num_tuples();
   out.partitions = StrippedPartitionDatabase::FromRelation(relation);
   for (AttributeId a = 0; a < relation.num_attributes(); ++a) {
-    out.distinct_counts.push_back(relation.DistinctCount(a));
-    std::vector<std::string>& sample = out.value_samples.emplace_back();
-    for (const std::string& value : relation.Dictionary(a)) {
-      if (sample.size() == options.value_sample_size) break;
-      // Each NULL has a code of its own but is no real value: Armstrong
-      // samples never carry one. No other entry equals the token.
-      if (options.csv.nulls_distinct && value == options.csv.null_token) {
-        continue;
-      }
-      sample.push_back(value);
-    }
+    out.distinct_counts.push_back(
+        ArmstrongValues(relation, a, options.value_sample_size,
+                        &out.value_samples.emplace_back()));
   }
   return out;
 }

@@ -47,9 +47,10 @@ struct StreamingOptions {
 struct StreamingExtract {
   Schema schema;
   StrippedPartitionDatabase partitions;
-  /// |π_A(r)| per attribute — the Proposition 1 quantities.
+  /// How many values Equation 2 may draw per attribute (`ArmstrongValues`:
+  /// distinct strings, all NULLs one value) — the Proposition 1 quantities.
   std::vector<size_t> distinct_counts;
-  /// First `value_sample_size` distinct values per column, in
+  /// The first `value_sample_size` of those values per column, in
   /// first-occurrence order (the v_{A,i} of Equation 2).
   std::vector<std::vector<std::string>> value_samples;
   size_t num_tuples = 0;

@@ -14,7 +14,6 @@
 #include "fault/fault.h"
 #include "partition/partition_database.h"
 #include "partition/partition_product.h"
-#include "report/stats_format.h"
 
 namespace depminer {
 
@@ -53,10 +52,7 @@ class TaneRun {
         cache_(options.partition_cache) {}
 
   TaneResult Run() {
-    // Span-owned timer, stopped explicitly before the result is moved
-    // out: a destructor-based write would land *after* the move and be
-    // lost (NRVO is not guaranteed for `std::move(result_)`).
-    PhaseTimer phase_timer("phase/tane", &result_.stats.total_seconds);
+    PhaseTimer phase_timer("phase/tane", nullptr);
     // C⁺(∅) = R; π̂_∅'s error is p − 1 (a single class of all tuples).
     cplus_memo_[AttributeSet()] = universe_;
     error_empty_ = p_ > 0 ? p_ - 1 : 0;
@@ -104,7 +100,6 @@ class TaneRun {
     }
 
     result_.fds = FdSet(n_, std::move(found_));
-    result_.stats.num_fds = result_.fds.size();
     DEPMINER_TRACE_COUNTER("tane.levels", result_.stats.levels);
     DEPMINER_TRACE_COUNTER("tane.candidates",
                            result_.stats.candidates_generated);
@@ -114,7 +109,6 @@ class TaneRun {
                            result_.stats.partition_products);
     DEPMINER_TRACE_GAUGE_MAX("tane.peak_partition_bytes",
                              result_.stats.peak_partition_bytes);
-    phase_timer.Stop();
     return std::move(result_);
   }
 
@@ -457,18 +451,6 @@ class TaneRun {
 };
 
 }  // namespace
-
-std::string TaneStats::ToString() const {
-  StatsLineBuilder b;
-  b.Count("levels", levels)
-      .Count("candidates", candidates_generated)
-      .Count("pruned", candidates_pruned)
-      .Count("products", partition_products)
-      .Count("fds", num_fds)
-      .Megabytes("peak_partition_mb", peak_partition_bytes)
-      .Seconds("total", total_seconds);
-  return b.str();
-}
 
 Result<TaneResult> TaneDiscover(const Relation& relation,
                                 const TaneOptions& options) {

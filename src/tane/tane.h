@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 #include "common/mining_options.h"
 #include "common/run_context.h"
 #include "common/status.h"
@@ -44,21 +42,18 @@ struct TaneOptions {
 
 /// Statistics of a TANE run, for the bench harness.
 struct TaneStats {
-  double total_seconds = 0;
   size_t levels = 0;
   size_t candidates_generated = 0;  ///< lattice nodes across all levels
   /// Lattice joins the arity cap kept from being generated (the prefix-
   /// block pairs of the last admitted level).
   size_t candidates_pruned = 0;
   size_t partition_products = 0;
-  size_t num_fds = 0;
   /// High-water estimate of partition storage: the largest total size (in
   /// bytes, 4 per stored TupleId) of the stripped partitions of two
   /// consecutive live levels. This is TANE's dominant memory cost and the
   /// quantity that made the paper's 256 MB machine fail its TANE runs at
   /// 100k tuples ('*' entries); Dep-Miner's analogue is the couple list.
   size_t peak_partition_bytes = 0;
-  std::string ToString() const;
 };
 
 /// Result of a TANE run.

@@ -13,7 +13,7 @@
 #include "relation/csv.h"
 #include "storage/streaming.h"
 #include "verify/generator.h"
-#include "verify/miners.h"
+#include "verify/oracle.h"
 
 namespace depminer {
 
@@ -51,32 +51,32 @@ void Find(FaultSweepReport* report, uint64_t seed, const std::string& site,
 /// Checks one faulted miner run against the sweep's contract (see the
 /// header). `base` is the same miner's unfaulted cover.
 void CheckMinerRun(const Relation& relation, const FaultSite& site,
-                   uint64_t fires, const MinerOutcome& out,
-                   const MinerOutcome& base, uint64_t seed,
+                   uint64_t fires, const Result<MineOutcome>& mined,
+                   const MineOutcome& base, uint64_t seed,
                    const std::string& label, FaultSweepReport* report) {
   const bool must_be_clean = fires == 0 || site.kind == FaultKind::kStall;
-  if (must_be_clean) {
-    if (!out.error.ok()) {
+  const StatusCode expected = ExpectedCode(site.kind);
+  if (!mined.ok()) {
+    if (must_be_clean) {
       Find(report, seed, site.name, label,
            "run failed although no error fault fired: " +
-               out.error.ToString());
-    } else if (!out.complete) {
+               mined.status().ToString());
+    } else if (mined.status().code() != expected) {
+      Find(report, seed, site.name, label,
+           std::string("injected ") + site.name +
+               " surfaced with the wrong code: " + mined.status().ToString());
+    }
+    return;
+  }
+  const MineOutcome& out = mined.value();
+  if (must_be_clean) {
+    if (!out.complete) {
       Find(report, seed, site.name, label,
            "run degraded although no error fault fired: " +
                out.run_status.ToString());
     } else if (!out.fds.EquivalentTo(base.fds)) {
       Find(report, seed, site.name, label,
            "cover diverged from the unfaulted baseline");
-    }
-    return;
-  }
-
-  const StatusCode expected = ExpectedCode(site.kind);
-  if (!out.error.ok()) {
-    if (out.error.code() != expected) {
-      Find(report, seed, site.name, label,
-           std::string("injected ") + site.name +
-               " surfaced with the wrong code: " + out.error.ToString());
     }
     return;
   }
@@ -152,7 +152,7 @@ Result<FaultSweepReport> RunFaultSweep(const FaultSweepOptions& options) {
     }
   }
 
-  const std::vector<MinerConfig> miners = AllMiners();
+  const std::vector<MinerSpec> miners = Miners();
 
   for (size_t i = 0; i < options.iterations; ++i) {
     const uint64_t seed = options.start_seed + i;
@@ -166,19 +166,20 @@ Result<FaultSweepReport> RunFaultSweep(const FaultSweepOptions& options) {
 
     // Unfaulted, ungoverned baselines. A miner whose baseline fails is
     // the differential oracle's problem, not the sweep's — skip it here.
-    std::vector<MinerOutcome> baselines;
+    std::vector<Result<MineOutcome>> baselines;
     baselines.reserve(miners.size());
-    for (const MinerConfig& miner : miners) {
+    for (const MinerSpec& miner : miners) {
       const size_t t = miner.threaded ? options.num_threads : 1;
-      baselines.push_back(miner.run(relation, t, nullptr));
+      baselines.push_back(
+          MineByName(relation, miner.name, {t, nullptr, {}}));
     }
 
     for (const FaultSite* site : sites) {
       if (IsIngestSite(*site)) continue;  // handled below
       for (size_t m = 0; m < miners.size(); ++m) {
-        const MinerConfig& miner = miners[m];
-        const MinerOutcome& base = baselines[m];
-        if (!base.error.ok() || !base.complete) continue;
+        const MinerSpec& miner = miners[m];
+        const Result<MineOutcome>& base = baselines[m];
+        if (!base.ok() || !base.value().complete) continue;
         const size_t t = miner.threaded ? options.num_threads : 1;
         const std::string label = MinerLabel(miner, t);
 
@@ -193,16 +194,16 @@ Result<FaultSweepReport> RunFaultSweep(const FaultSweepOptions& options) {
         ctx.SetTimeout(std::chrono::hours(1));
 
         uint64_t fires = 0;
-        MinerOutcome out;
+        Result<MineOutcome> mined = Status::NotFound("unset");
         {
           FaultScope scope(plan);
-          out = miner.run(relation, t, &ctx);
+          mined = MineByName(relation, miner.name, {t, &ctx, {}});
           fires = scope.fires();
         }
         ++report.runs;
         if (fires > 0) ++report.faults_fired;
-        CheckMinerRun(relation, *site, fires, out, base, seed, label,
-                      &report);
+        CheckMinerRun(relation, *site, fires, mined, base.value(), seed,
+                      label, &report);
       }
     }
 

@@ -2,8 +2,6 @@
 
 #include <functional>
 
-#include "verify/miners.h"
-
 #include "common/run_context.h"
 #include "core/armstrong.h"
 #include "core/dep_miner.h"
@@ -101,20 +99,21 @@ void ArmTripped(RunContext* ctx, Trip t) {
 
 /// Checks one governed run for coherent degradation and records the
 /// output (when one was produced) for cross-thread comparison.
-void CheckDegradedOutcome(const Relation& relation, const MinerOutcome& out,
-                          Trip trip, const std::string& label,
-                          OracleReport* report) {
-  if (!out.error.ok()) {
+void CheckDegradedOutcome(const Relation& relation,
+                          const Result<MineOutcome>& mined, Trip trip,
+                          const std::string& label, OracleReport* report) {
+  if (!mined.ok()) {
     // Acceptable: a pre-tripped context surfaced as the entry check's
     // error status — but it must carry the trip's code.
-    if (out.error.code() != TripCode(trip)) {
+    if (mined.status().code() != TripCode(trip)) {
       Report(report, CheckKind::kDegradedRun, label,
              std::string("pre-tripped (") + TripName(trip) +
                  ") run failed with the wrong code: " +
-                 out.error.ToString());
+                 mined.status().ToString());
     }
     return;
   }
+  const MineOutcome& out = mined.value();
   if (out.complete) {
     // Also acceptable: the run finished before its first poll (tiny
     // inputs). The full-result equivalence is covered by the ungoverned
@@ -139,6 +138,11 @@ void CheckDegradedOutcome(const Relation& relation, const MinerOutcome& out,
 }
 
 }  // namespace
+
+std::string MinerLabel(const MinerSpec& miner, size_t threads) {
+  if (!miner.threaded) return miner.name;
+  return std::string(miner.name) + "/" + std::to_string(threads) + "t";
+}
 
 void CheckCoverAgainstRelation(const Relation& relation, const FdSet& cover,
                                const std::string& miner_label,
@@ -180,7 +184,7 @@ OracleReport RunDifferentialOracle(const Relation& relation,
                                    const OracleOptions& options) {
   OracleReport report;
   const Schema& schema = relation.schema();
-  const std::vector<MinerConfig> miners = AllMiners();
+  const std::vector<MinerSpec> miners = Miners();
   std::vector<size_t> threads = options.thread_counts;
   if (threads.empty()) threads.push_back(1);
 
@@ -195,7 +199,7 @@ OracleReport RunDifferentialOracle(const Relation& relation,
   std::vector<FdSet> exact_outputs(miners.size());
   std::vector<char> have_exact(miners.size(), 0);
   for (size_t m = 0; m < miners.size(); ++m) {
-    const MinerConfig& miner = miners[m];
+    const MinerSpec& miner = miners[m];
     bool have_first = false;
     FdSet first_output;
     std::string first_label;
@@ -203,13 +207,15 @@ OracleReport RunDifferentialOracle(const Relation& relation,
     for (size_t i = 0; i < count; ++i) {
       const size_t t = miner.threaded ? threads[i] : 1;
       const std::string label = MinerLabel(miner, t);
-      MinerOutcome out = miner.run(relation, t, nullptr);
+      Result<MineOutcome> mined =
+          MineByName(relation, miner.name, {t, nullptr, {}});
       ++report.miner_runs;
-      if (!out.error.ok()) {
+      if (!mined.ok()) {
         Report(&report, CheckKind::kMinerError, label,
-               out.error.ToString());
+               mined.status().ToString());
         continue;
       }
+      const MineOutcome& out = mined.value();
       if (!out.complete) {
         Report(&report, CheckKind::kMinerError, label,
                "ungoverned run reported itself incomplete: " +
@@ -266,7 +272,7 @@ OracleReport RunDifferentialOracle(const Relation& relation,
   if (options.check_tripped_contexts) {
     for (const Trip trip : {Trip::kCancelled, Trip::kDeadline,
                             Trip::kBudget}) {
-      for (const MinerConfig& miner : miners) {
+      for (const MinerSpec& miner : miners) {
         bool have_first = false;
         FdSet first_output;
         std::string first_label;
@@ -277,15 +283,17 @@ OracleReport RunDifferentialOracle(const Relation& relation,
               MinerLabel(miner, t) + "+" + TripName(trip);
           RunContext ctx;
           ArmTripped(&ctx, trip);
-          MinerOutcome out = miner.run(relation, t, &ctx);
+          Result<MineOutcome> mined =
+              MineByName(relation, miner.name, {t, &ctx, {}});
           ++report.miner_runs;
-          CheckDegradedOutcome(relation, out, trip, label, &report);
-          if (!out.error.ok()) continue;
+          CheckDegradedOutcome(relation, mined, trip, label, &report);
+          if (!mined.ok()) continue;
+          const FdSet& fds = mined.value().fds;
           if (!have_first) {
             have_first = true;
-            first_output = out.fds;
+            first_output = fds;
             first_label = label;
-          } else if (!(out.fds.fds() == first_output.fds())) {
+          } else if (!(fds.fds() == first_output.fds())) {
             Report(&report, CheckKind::kNondeterministic, label,
                    "partial output under " + std::string(TripName(trip)) +
                        " differs from " + first_label);
@@ -372,20 +380,21 @@ OracleReport RunDifferentialOracle(const Relation& relation,
   if (options.check_pruning) {
     for (size_t m = 0; m < miners.size(); ++m) {
       if (!have_exact[m]) continue;
-      const MinerConfig& miner = miners[m];
+      const MinerSpec& miner = miners[m];
       const FdSet& exact = exact_outputs[m];
       const size_t t = miner.threaded ? threads[0] : 1;
       const std::string label = MinerLabel(miner, t);
 
       MiningOptions capped;
       capped.max_lhs_arity = options.arity_cap;
-      MinerOutcome capped_out = miner.run(relation, t, nullptr, capped);
+      Result<MineOutcome> capped_out =
+          MineByName(relation, miner.name, {t, nullptr, capped});
       ++report.miner_runs;
-      if (!capped_out.error.ok() || !capped_out.complete) {
+      if (!capped_out.ok() || !capped_out.value().complete) {
         Report(&report, CheckKind::kArityDivergence, label,
                "arity-capped run failed: " +
-                   (capped_out.error.ok() ? capped_out.run_status
-                                          : capped_out.error)
+                   (capped_out.ok() ? capped_out.value().run_status
+                                    : capped_out.status())
                        .ToString());
       } else {
         std::vector<FunctionalDependency> filtered;
@@ -393,10 +402,10 @@ OracleReport RunDifferentialOracle(const Relation& relation,
           if (fd.lhs.Count() <= options.arity_cap) filtered.push_back(fd);
         }
         const FdSet expected(exact.num_attributes(), std::move(filtered));
-        if (!(capped_out.fds.fds() == expected.fds())) {
+        if (!(capped_out.value().fds.fds() == expected.fds())) {
           Report(&report, CheckKind::kArityDivergence, label,
                  "capped (k=" + std::to_string(options.arity_cap) +
-                     ") output [" + capped_out.fds.ToString() +
+                     ") output [" + capped_out.value().fds.ToString() +
                      "] != filtered unbounded cover [" +
                      expected.ToString() + "]");
         }
@@ -404,16 +413,18 @@ OracleReport RunDifferentialOracle(const Relation& relation,
 
       MiningOptions forced;
       forced.force_error_validation = true;
-      MinerOutcome afd_out = miner.run(relation, t, nullptr, forced);
+      Result<MineOutcome> afd_out =
+          MineByName(relation, miner.name, {t, nullptr, forced});
       ++report.miner_runs;
-      if (!afd_out.error.ok() || !afd_out.complete) {
+      if (!afd_out.ok() || !afd_out.value().complete) {
         Report(&report, CheckKind::kAfdDivergence, label,
                "forced ε=0 run failed: " +
-                   (afd_out.error.ok() ? afd_out.run_status : afd_out.error)
+                   (afd_out.ok() ? afd_out.value().run_status
+                                 : afd_out.status())
                        .ToString());
       } else {
-        const FdSetDiff diff =
-            DiffFdSets(exact.MinimalCover(), afd_out.fds.MinimalCover());
+        const FdSetDiff diff = DiffFdSets(exact.MinimalCover(),
+                                          afd_out.value().fds.MinimalCover());
         if (!diff.Equivalent()) {
           Report(&report, CheckKind::kAfdDivergence, label,
                  "ε=0 approximate cover is not equivalent to the exact "

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/mine_by_name.h"
 #include "fd/fd_set.h"
 #include "relation/relation.h"
 
@@ -79,6 +80,10 @@ struct OracleReport {
   bool ok() const { return divergences.empty(); }
   std::string ToString() const;
 };
+
+/// "depminer/4t" for threaded miners, the bare name for serial ones: how
+/// the oracle and the fault sweep name a run.
+std::string MinerLabel(const MinerSpec& miner, size_t threads);
 
 /// Runs all five miners (Dep-Miner Algorithms 2 and 3, TANE, FastFDs,
 /// FDEP) over `relation` — the thread-aware ones at every count in

@@ -82,9 +82,14 @@ if(TRACING)
   if(NOT traced_result EQUAL 0)
     message(FATAL_ERROR "traced checkpointed mine failed: ${traced_stderr}")
   endif()
-  if(NOT traced_stderr MATCHES "phase/agree")
-    message(FATAL_ERROR "--metrics printed no phase/agree: ${traced_stderr}")
-  endif()
+  # The job key, probe and saves fall in phase/checkpoint and the printed
+  # cover in phase/render, so the phases account for the whole session.
+  foreach(phase agree checkpoint render)
+    if(NOT traced_stderr MATCHES "phase/${phase}")
+      message(FATAL_ERROR
+              "--metrics printed no phase/${phase}: ${traced_stderr}")
+    endif()
+  endforeach()
   if(NOT traced_output STREQUAL ref_output)
     message(FATAL_ERROR "traced checkpointed cover differs from the "
             "reference:\n${traced_output}")

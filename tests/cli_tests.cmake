@@ -267,7 +267,8 @@ add_test(NAME cli.checkpoint_resume
 
 # Fault injection: the sweep holds on a small slice, a debug-injected
 # allocation failure degrades a mine to a partial result (the regex match
-# is the pass criterion; the run itself exits 3), and an unknown site is
+# is the pass criterion; the run itself exits 3) whose warning goes
+# straight from "partial results:" to the FD count, and an unknown site is
 # a usage error. Only meaningful when the sites are compiled in.
 if(DEPMINER_FAULTS)
   add_test(NAME cli.fuzz_faults COMMAND fdtool fuzz --faults --iterations=2
@@ -278,7 +279,8 @@ if(DEPMINER_FAULTS)
   add_test(NAME cli.fault_site COMMAND fdtool mine ${DATA}/employees.csv
            --fault-site=alloc/agree)
   set_tests_properties(cli.fault_site PROPERTIES
-      PASS_REGULAR_EXPRESSION "run interrupted \\(CapacityExceeded")
+      PASS_REGULAR_EXPRESSION
+      "run interrupted \\(CapacityExceeded[^\n]*; partial results:\n[0-9]+ minimal FDs \\(possibly incomplete\\)")
 
   add_test(NAME cli.fault_bad_site COMMAND fdtool mine ${DATA}/employees.csv
            --fault-site=bogus/site)

@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "core/mine_by_name.h"
 #include "datagen/synthetic.h"
-#include "verify/miners.h"
 
 namespace depminer {
 namespace {
@@ -24,11 +24,12 @@ constexpr double kTestScale = 0.001;
 
 std::vector<CorpusSpec> TestCorpus() { return PaperScaleCorpus(kTestScale); }
 
-std::string CoverSignature(const MinerOutcome& outcome) {
-  EXPECT_TRUE(outcome.error.ok()) << outcome.error.ToString();
-  EXPECT_TRUE(outcome.complete);
+std::string CoverSignature(const Result<MineOutcome>& mined) {
+  EXPECT_TRUE(mined.ok()) << mined.status().ToString();
+  if (!mined.ok()) return "";
+  EXPECT_TRUE(mined.value().complete);
   std::string sig;
-  for (const FunctionalDependency& fd : outcome.fds.fds()) {
+  for (const FunctionalDependency& fd : mined.value().fds.fds()) {
     sig += fd.ToString();
     sig += '\n';
   }
@@ -39,16 +40,17 @@ TEST(CorpusDeterminism, EveryMinerBitIdenticalAcrossThreadCounts) {
   for (const CorpusSpec& spec : TestCorpus()) {
     Result<Relation> data = GenerateSynthetic(spec.config);
     ASSERT_TRUE(data.ok()) << spec.name << ": " << data.status().ToString();
-    for (const MinerConfig& miner : AllMiners()) {
+    for (const MinerSpec& miner : Miners()) {
       // Serial miners have no thread counts to compare; running them here
       // would only burn time (FDEP alone spends a minute on the wide
       // dense_attrs45 point, whose near-key shape yields a half-million-FD
       // cover).
       if (!miner.threaded) continue;
       const std::string reference =
-          CoverSignature(miner.run(data.value(), 1, nullptr));
+          CoverSignature(MineByName(data.value(), miner.name));
       for (const size_t threads : {size_t{2}, size_t{8}}) {
-        EXPECT_EQ(CoverSignature(miner.run(data.value(), threads, nullptr)),
+        const MineRequest request{threads, nullptr, {}};
+        EXPECT_EQ(CoverSignature(MineByName(data.value(), miner.name, request)),
                   reference)
             << miner.name << " diverged at " << threads << " threads on "
             << spec.name;

@@ -58,8 +58,6 @@ TEST(FastFds, StatsArePopulated) {
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(fast.value().stats.difference_sets, 5u);  // |ag(r)| incl. ∅
   EXPECT_GT(fast.value().stats.search_nodes, 0u);
-  EXPECT_EQ(fast.value().stats.num_fds, 14u);
-  EXPECT_FALSE(fast.value().stats.ToString().empty());
 }
 
 // Differential sweep against the exhaustive oracle and Dep-Miner.

@@ -8,16 +8,18 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <utility>
 
+#include "catalog/fingerprint.h"
 #include "common/file_reader.h"
 #include "common/run_context.h"
+#include "core/mine_by_name.h"
 #include "fault/fault.h"
 #include "fd/satisfaction.h"
 #include "relation/csv.h"
 #include "storage/streaming.h"
 #include "test_util.h"
 #include "verify/fault_sweep.h"
-#include "verify/miners.h"
 
 namespace depminer {
 namespace {
@@ -131,35 +133,32 @@ class MinerAllocFault : public ::testing::TestWithParam<MinerAllocCase> {};
 
 TEST_P(MinerAllocFault, TripsSoundlyAtTheChargePoint) {
   const Relation relation = PaperExampleRelation();
-  MinerConfig config;
-  for (MinerConfig& m : AllMiners()) {
-    if (m.name == GetParam().miner) config = std::move(m);
-  }
-  ASSERT_FALSE(config.name.empty());
-  const MinerOutcome baseline = config.run(relation, 1, nullptr);
-  ASSERT_TRUE(baseline.error.ok());
-  ASSERT_TRUE(baseline.complete);
+  const std::string miner = GetParam().miner;
+  const Result<MineOutcome> baseline = MineByName(relation, miner);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  ASSERT_TRUE(baseline.value().complete);
 
   FaultPlan plan;
   plan.site = GetParam().site;
   RunContext ctx;
   ctx.SetTimeout(std::chrono::hours(1));
   uint64_t fires = 0;
-  MinerOutcome out;
+  Result<MineOutcome> mined = Status::NotFound("unset");
   {
     FaultScope scope(plan);
-    out = config.run(relation, 1, &ctx);
+    mined = MineByName(relation, miner, {1, &ctx, {}});
     fires = scope.fires();
   }
   ASSERT_GE(fires, 1u) << "the " << GetParam().site
                        << " charge point was never polled";
-  if (!out.error.ok()) {
-    EXPECT_EQ(out.error.code(), StatusCode::kCapacityExceeded)
-        << out.error.ToString();
+  if (!mined.ok()) {
+    EXPECT_EQ(mined.status().code(), StatusCode::kCapacityExceeded)
+        << mined.status().ToString();
     return;
   }
+  const MineOutcome& out = mined.value();
   if (out.complete) {
-    EXPECT_TRUE(out.fds.EquivalentTo(baseline.fds));
+    EXPECT_TRUE(out.fds.EquivalentTo(baseline.value().fds));
     return;
   }
   EXPECT_EQ(out.run_status.code(), StatusCode::kCapacityExceeded)
@@ -183,27 +182,24 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(LaneStallTest, StalledLanesStillProduceTheIdenticalCover) {
   const Relation relation =
       ::depminer::testing::RandomRelation(6, 120, 3, 7);
-  MinerConfig depminer;
-  for (MinerConfig& m : AllMiners()) {
-    if (m.name == "depminer") depminer = std::move(m);
-  }
-  const MinerOutcome baseline = depminer.run(relation, 4, nullptr);
-  ASSERT_TRUE(baseline.error.ok());
+  const Result<MineOutcome> baseline =
+      MineByName(relation, "depminer", {4, nullptr, {}});
+  ASSERT_TRUE(baseline.ok());
 
   FaultPlan plan;
   plan.site = "pool/lane-stall";
   plan.repeat = true;  // every block claim of every lane sleeps
   plan.stall_ms = 1;
-  MinerOutcome stalled;
+  Result<MineOutcome> stalled = Status::NotFound("unset");
   {
     FaultScope scope(plan);
-    stalled = depminer.run(relation, 4, nullptr);
+    stalled = MineByName(relation, "depminer", {4, nullptr, {}});
   }
-  ASSERT_TRUE(stalled.error.ok());
-  EXPECT_TRUE(stalled.complete);
+  ASSERT_TRUE(stalled.ok());
+  EXPECT_TRUE(stalled.value().complete);
   // Bit-identical, not merely equivalent: lane pacing must not influence
   // the output at all.
-  EXPECT_EQ(stalled.fds.fds(), baseline.fds.fds());
+  EXPECT_EQ(stalled.value().fds.fds(), baseline.value().fds.fds());
 }
 
 class RetryingReadTest : public ::testing::Test {
@@ -305,10 +301,37 @@ TEST_F(RetryingReadTest, StreamingExtractionChecksTheStreamStatusToo) {
   EXPECT_EQ(extract.status().code(), StatusCode::kIoError);
 }
 
+TEST_F(RetryingReadTest, FileFingerprintRetriesLikeTheCsvReader) {
+  Result<Fingerprint> clean = FingerprintFile(path_);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  // Recoverable: every read cut to one byte, or one EINTR or EIO retried.
+  for (const auto& [site, repeat] :
+       {std::pair{"io/csv-short-read", true}, std::pair{"io/csv-eintr", false},
+        std::pair{"io/csv-read", false}}) {
+    FaultPlan plan;
+    plan.site = site;
+    plan.repeat = repeat;
+    FaultScope scope(plan);
+    Result<Fingerprint> faulted = FingerprintFile(path_);
+    EXPECT_GE(scope.fires(), 1u) << site;
+    ASSERT_TRUE(faulted.ok()) << site << ": " << faulted.status().ToString();
+    EXPECT_EQ(faulted.value(), clean.value()) << site;
+  }
+  // Persistent: every read fails, or EINTR outlasts its bounded budget.
+  for (const char* site : {"io/csv-read", "io/csv-eintr"}) {
+    FaultPlan plan;
+    plan.site = site;
+    plan.repeat = true;
+    FaultScope scope(plan);
+    Result<Fingerprint> faulted = FingerprintFile(path_);
+    ASSERT_FALSE(faulted.ok()) << site;
+    EXPECT_EQ(faulted.status().code(), StatusCode::kIoError) << site;
+  }
+}
+
 TEST(RetryingFileStreamTest, MissingFileReportsNotFoundState) {
   RetryingFileStream in("/nonexistent/depminer.csv");
   EXPECT_FALSE(in.is_open());
-  EXPECT_FALSE(in.good());
   EXPECT_FALSE(in.status().ok());
 }
 

@@ -48,8 +48,6 @@ TEST(Fdep, StatsArePopulated) {
   ASSERT_TRUE(fdep.ok());
   EXPECT_EQ(fdep.value().stats.negative_cover_size, 9u);  // Example 9 counts
   EXPECT_GT(fdep.value().stats.specializations, 0u);
-  EXPECT_EQ(fdep.value().stats.num_fds, 14u);
-  EXPECT_FALSE(fdep.value().stats.ToString().empty());
 }
 
 // Differential sweep against the oracle and Dep-Miner.

@@ -32,7 +32,6 @@
 #include "relation/relation_builder.h"
 #include "tane/tane.h"
 #include "test_util.h"
-#include "verify/miners.h"
 
 namespace depminer {
 namespace {
@@ -208,16 +207,18 @@ FdSet FilterToArity(const FdSet& cover, size_t num_attributes, size_t cap) {
 
 TEST(PruningArity, EveryMinerCappedEqualsFilteredUnbounded) {
   const Relation r = RandomRelation(6, 90, 3, 23);
-  for (const MinerConfig& miner : AllMiners()) {
-    const MinerOutcome unbounded = miner.run(r, 1, nullptr);
-    ASSERT_TRUE(unbounded.error.ok()) << miner.name;
+  for (const MinerSpec& miner : Miners()) {
+    const Result<MineOutcome> unbounded = MineByName(r, miner.name);
+    ASSERT_TRUE(unbounded.ok()) << miner.name;
     for (const size_t cap : {size_t{1}, size_t{2}, size_t{3}}) {
       MiningOptions capped;
       capped.max_lhs_arity = cap;
-      const MinerOutcome out = miner.run(r, 1, nullptr, capped);
-      ASSERT_TRUE(out.error.ok()) << miner.name << " k=" << cap;
-      EXPECT_EQ(out.fds.fds(),
-                FilterToArity(unbounded.fds, r.num_attributes(), cap).fds())
+      const Result<MineOutcome> out =
+          MineByName(r, miner.name, {1, nullptr, capped});
+      ASSERT_TRUE(out.ok()) << miner.name << " k=" << cap;
+      EXPECT_EQ(out.value().fds.fds(),
+                FilterToArity(unbounded.value().fds, r.num_attributes(), cap)
+                    .fds())
           << miner.name << " diverged from the filtered cover at k=" << cap;
     }
   }

@@ -1,17 +1,11 @@
-// Tests for the JSON writer, the stats-line formatter and the relation
-// profiler.
+// Tests for the JSON writer and the relation profiler.
 
 #include <gtest/gtest.h>
 
-#include "core/dep_miner.h"
-#include "fastfds/fastfds.h"
-#include "fdep/fdep.h"
 #include "relation/relation_builder.h"
 #include "report/database_profile.h"
 #include "report/json_writer.h"
 #include "report/profile.h"
-#include "report/stats_format.h"
-#include "tane/tane.h"
 #include "test_util.h"
 
 namespace depminer {
@@ -51,76 +45,6 @@ TEST(JsonWriter, EscapesControlAndQuotes) {
   EXPECT_EQ(JsonWriter::Escape(""), "\"\"");
   // UTF-8 passes through untouched.
   EXPECT_EQ(JsonWriter::Escape("é"), "\"é\"");
-}
-
-TEST(StatsLineBuilder, FormatsEntriesAndGroups) {
-  StatsLineBuilder b;
-  EXPECT_EQ(b.str(), "");
-  b.Count("levels", 3).Seconds("total", 0.1234);
-  EXPECT_EQ(b.str(), "levels=3 total=0.123s");
-
-  StatsLineBuilder grouped;
-  grouped.Seconds("agree", 0.5)
-      .BeginGroup()
-      .Count("couples", 10)
-      .Megabytes("working_mb", 2 * 1024 * 1024 + 512 * 1024)
-      .EndGroup()
-      .Count("fds", 14);
-  EXPECT_EQ(grouped.str(), "agree=0.500s (couples=10, working_mb=2.5) fds=14");
-}
-
-// Every miner's stats line goes through the shared builder; these pin the
-// exact legacy formats the hand-rolled snprintf code used to produce.
-
-TEST(StatsLineBuilder, DepMinerStatsLegacyFormat) {
-  DepMinerStats s;
-  s.strip_seconds = 0.001;
-  s.agree_seconds = 0.5;
-  s.max_seconds = 0.25;
-  s.lhs_seconds = 0.01;
-  s.armstrong_seconds = 0.002;
-  s.num_couples = 10;
-  s.chunks = 1;
-  s.num_agree_sets = 9;
-  s.agree_working_bytes = 2 * 1024 * 1024;
-  s.num_max_sets = 3;
-  s.num_fds = 14;
-  EXPECT_EQ(s.ToString(),
-            "strip=0.001s agree=0.500s (couples=10, chunks=1, agree_sets=9, "
-            "working_mb=2.0) max=0.250s (max_sets=3) lhs=0.010s "
-            "armstrong=0.002s fds=14 total=0.763s");
-}
-
-TEST(StatsLineBuilder, TaneStatsLegacyFormat) {
-  TaneStats s;
-  s.levels = 3;
-  s.candidates_generated = 42;
-  s.partition_products = 7;
-  s.num_fds = 14;
-  s.peak_partition_bytes = 1536 * 1024;
-  s.total_seconds = 0.1234;
-  EXPECT_EQ(s.ToString(),
-            "levels=3 candidates=42 pruned=0 products=7 fds=14 "
-            "peak_partition_mb=1.5 total=0.123s");
-}
-
-TEST(StatsLineBuilder, FastFdsAndFdepStatsLegacyFormats) {
-  FastFdsStats f;
-  f.difference_sets = 5;
-  f.search_nodes = 20;
-  f.num_fds = 3;
-  f.total_seconds = 0.05;
-  EXPECT_EQ(f.ToString(),
-            "difference_sets=5 search_nodes=20 pruned=0 fds=3 total=0.050s");
-
-  FdepStats d;
-  d.negative_cover_size = 6;
-  d.specializations = 30;
-  d.num_fds = 4;
-  d.total_seconds = 1.5;
-  EXPECT_EQ(d.ToString(),
-            "negative_cover=6 specializations=30 pruned=0 fds=4 "
-            "total=1.500s");
 }
 
 TEST(Profile, PaperExampleProfile) {

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <string_view>
 
+#include "core/armstrong.h"
 #include "core/dep_miner.h"
 #include "relation/csv.h"
 #include "relation/relation_builder.h"
@@ -67,12 +68,13 @@ TEST(Streaming, RejectsRaggedAndEmpty) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(Streaming, MineCsvStreamingMatchesInMemoryMining) {
-  const Relation r = RandomRelation(5, 120, 6, 99);
-  const std::string path =
-      WriteTempCsv(CsvToString(r), "depminer_streaming.csv");
-
-  Result<StreamingMineResult> streamed = MineCsvStreaming(path);
+/// Mines the CSV at `path` (then deletes it) through `MineCsvStreaming`
+/// and checks it against mining `r`, the same CSV loaded: the same cover
+/// and, cell for cell, the same Armstrong relation (same construction,
+/// same value order).
+void ExpectStreamedLikeLoaded(const std::string& path, const Relation& r,
+                              const StreamingOptions& options = {}) {
+  Result<StreamingMineResult> streamed = MineCsvStreaming(path, options);
   std::remove(path.c_str());
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
 
@@ -80,18 +82,37 @@ TEST(Streaming, MineCsvStreamingMatchesInMemoryMining) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(streamed.value().fds.fds(), direct.value().fds.fds());
   ASSERT_EQ(streamed.value().armstrong.has_value(),
-            direct.value().armstrong.has_value());
-  if (streamed.value().armstrong.has_value()) {
-    EXPECT_EQ(streamed.value().armstrong->num_tuples(),
-              direct.value().armstrong->num_tuples());
-    // Cell-for-cell identical: same construction, same value order.
-    for (TupleId t = 0; t < streamed.value().armstrong->num_tuples(); ++t) {
-      for (AttributeId a = 0; a < 5; ++a) {
-        EXPECT_EQ(streamed.value().armstrong->Value(t, a),
-                  direct.value().armstrong->Value(t, a));
-      }
+            direct.value().armstrong.has_value())
+      << streamed.value().armstrong_status.ToString();
+  if (!direct.value().armstrong.has_value()) return;
+  const Relation& got = *streamed.value().armstrong;
+  const Relation& want = *direct.value().armstrong;
+  ASSERT_EQ(got.num_tuples(), want.num_tuples());
+  for (TupleId t = 0; t < want.num_tuples(); ++t) {
+    for (AttributeId a = 0; a < want.num_attributes(); ++a) {
+      EXPECT_EQ(got.Value(t, a), want.Value(t, a));
     }
   }
+  EXPECT_TRUE(IsArmstrongFor(got, direct.value().all_max_sets));
+}
+
+TEST(Streaming, MineCsvStreamingMatchesInMemoryMining) {
+  const Relation r = RandomRelation(5, 120, 6, 99);
+  ExpectStreamedLikeLoaded(
+      WriteTempCsv(CsvToString(r), "depminer_streaming.csv"), r);
+}
+
+// Under SQL NULL semantics both routes take the NULL token as one of
+// Equation 2's values: column b's NA, x and y cover the 3 it needs.
+TEST(Streaming, NullTokenArmstrongMatchesTheRelationRoute) {
+  const std::string csv = "a,b,c\nNA,NA,1\n1,NA,1\n2,x,2\n3,x,3\n3,y,4\n";
+  StreamingOptions options;
+  options.csv.nulls_distinct = true;
+  options.csv.null_token = "NA";
+  Result<Relation> r = ParseCsvRelation(csv, options.csv);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectStreamedLikeLoaded(WriteTempCsv(csv, "depminer_streaming_nulls.csv"),
+                           r.value(), options);
 }
 
 TEST(Streaming, TinySampleFailsArmstrongButNotDiscovery) {

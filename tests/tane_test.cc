@@ -72,8 +72,6 @@ TEST(Tane, StatsArePopulated) {
   EXPECT_GE(stats.levels, 2u);
   EXPECT_GE(stats.candidates_generated, 5u);
   EXPECT_GT(stats.partition_products, 0u);
-  EXPECT_EQ(stats.num_fds, 14u);
-  EXPECT_FALSE(stats.ToString().empty());
 }
 
 TEST(TaneApproximate, FindsFdsWithinThreshold) {

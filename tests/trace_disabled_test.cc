@@ -55,8 +55,8 @@ TEST(TraceDisabled, MacroArgumentsAreNotEvaluated) {
 }
 
 TEST(TraceDisabled, PhaseTimerStillTimes) {
-  // Phase stats feed --stats output and the profile JSON regardless of the
-  // tracing switch, so the timer keeps timing; only its span is gated.
+  // Phase stats feed the profile JSON regardless of the tracing switch, so
+  // the timer keeps timing; only its span is gated.
   double seconds = 0.0;
   {
     PhaseTimer t("phase/disabled", &seconds);
