@@ -212,6 +212,18 @@ bool HasSuffix(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// Reports a failed call: `error: <status>` on stderr, exit 1.
+int Fail(const Status& st) {
+  std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+  return 1;
+}
+
+/// Reports a usage error: `error: <message>` on stderr, exit 2.
+int UsageError(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return 2;
+}
+
 /// The CSV flags; main() has already rejected a bad --delimiter.
 CsvOptions CsvFlags(const ArgParser& args) {
   CsvOptions options;
@@ -224,32 +236,16 @@ CsvOptions CsvFlags(const ArgParser& args) {
   return options;
 }
 
-Result<Relation> Load(const ArgParser& args) {
-  if (args.positional().size() < 2) {
+/// Reads the command's input `i`, a .dmc column file or a CSV, timed as
+/// `phase/load`.
+Result<Relation> Load(const ArgParser& args, size_t i = 1) {
+  if (args.positional().size() <= i) {
     return Status::InvalidArgument("missing input path");
   }
-  const std::string& path = args.positional()[1];
+  PhaseTimer load_timer("phase/load", nullptr);
+  const std::string& path = args.positional()[i];
   if (HasSuffix(path, ".dmc")) return ReadColumnFile(path);
   return ReadCsvRelation(path, CsvFlags(args));
-}
-
-/// The --threads flag: 1 (serial) by default, 0 means "all cores".
-size_t ThreadsFlag(const ArgParser& args) {
-  const int64_t t = args.GetInt("threads", 1);
-  return t <= 0 ? DefaultThreadCount() : static_cast<size_t>(t);
-}
-
-/// The pruning knobs (--arity/--error/--topk), already range-validated by
-/// main() before any command dispatch.
-MiningOptions MiningFlags(const ArgParser& args) {
-  MiningOptions mining;
-  mining.max_lhs_arity = static_cast<size_t>(args.GetInt("arity", 0));
-  if (args.Has("error")) {
-    mining.max_g3_error = std::strtod(args.GetString("error", "0").c_str(),
-                                      nullptr);
-  }
-  mining.top_k = static_cast<size_t>(args.GetInt("topk", 0));
-  return mining;
 }
 
 /// Parses "A,B->C" using attribute names (or single letters for default
@@ -277,47 +273,62 @@ Result<FunctionalDependency> ParseFd(const Schema& schema,
   return fd;
 }
 
-int CmdMine(const Relation& relation, const ArgParser& args) {
-  const MiningOptions mining = MiningFlags(args);
-  Result<MineOutcome> mined =
-      MineByName(relation, args.GetString("algo", "depminer"),
-                 {ThreadsFlag(args), &g_run_context, mining});
-  if (!mined.ok()) {
-    std::fprintf(stderr, "error: %s\n", mined.status().ToString().c_str());
-    return 1;
-  }
-  const MineOutcome& outcome = mined.value();
+/// The end of every mine: prints the cover (or saves it to --out), then
+/// logs how the run ended under `subsystem` and returns the exit code. A
+/// checkpointed mine names its checkpoint in the interrupted warning and
+/// its input's fingerprint in the FD count; both are empty otherwise.
+int FinishMine(const ArgParser& args, const MineOutcome& outcome,
+               const Schema& schema, const char* subsystem,
+               const std::string& checkpoint_path = "",
+               const std::string& fingerprint = "") {
   {
     PhaseTimer render_timer("phase/render", nullptr);
     const std::string out = args.GetString("out", "");
     if (out.empty()) {
-      std::fputs(RenderCover(outcome, relation.schema()).c_str(), stdout);
+      std::fputs(RenderCover(outcome, schema).c_str(), stdout);
     } else {
       std::vector<FunctionalDependency> kept;
       for (const RankedFd& rf : outcome.ranked) kept.push_back(rf.fd);
       const Status st = SaveFdSet(
-          mining.top_k == 0 ? outcome.fds
-                            : FdSet(relation.num_attributes(), kept),
-          relation.schema(), out);
-      if (!st.ok()) {
-        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-        return 1;
-      }
+          outcome.ranked.empty()
+              ? outcome.fds
+              : FdSet(outcome.fds.num_attributes(), std::move(kept)),
+          schema, out);
+      if (!st.ok()) return Fail(st);
     }
   }
+  const std::string fds = std::to_string(outcome.fds.size());
+  const LogField fds_field =
+      LogNum("fds", static_cast<uint64_t>(outcome.fds.size()));
   if (!outcome.complete) {
-    Log(LogLevel::kWarn, "fdtool",
-        "run interrupted (" + outcome.run_status.ToString() +
-            "); partial results:\n" + std::to_string(outcome.fds.size()) +
-            " minimal FDs (possibly incomplete)",
-        {LogStr("status", outcome.run_status.ToString()),
-         LogNum("fds", static_cast<uint64_t>(outcome.fds.size()))});
+    const std::string status = outcome.run_status.ToString();
+    std::string message = "run interrupted (" + status +
+                          "); partial results:\n" + fds +
+                          " minimal FDs (possibly incomplete)";
+    std::vector<LogField> fields = {LogStr("status", status), fds_field};
+    if (!checkpoint_path.empty()) {
+      message += "\ncheckpoint: " + checkpoint_path +
+                 "\nre-run the same command to resume from it";
+      fields.push_back(LogStr("checkpoint", checkpoint_path));
+    }
+    Log(LogLevel::kWarn, subsystem, message, fields);
     return InterruptedExitCode(outcome.run_status);
   }
-  Log(LogLevel::kInfo, "fdtool",
-      std::to_string(outcome.fds.size()) + " minimal FDs",
-      {LogNum("fds", static_cast<uint64_t>(outcome.fds.size()))});
+  std::string message = fds + " minimal FDs";
+  std::vector<LogField> fields = {fds_field};
+  if (!fingerprint.empty()) {
+    message += " (fingerprint " + fingerprint + ")";
+    fields.push_back(LogStr("fingerprint", fingerprint));
+  }
+  Log(LogLevel::kInfo, subsystem, message, fields);
   return 0;
+}
+
+int CmdMine(const Relation& relation, const ArgParser& args,
+            const ParsedMineRequest& mine) {
+  Result<MineOutcome> mined = MineByName(relation, mine.algo, mine.request);
+  if (!mined.ok()) return Fail(mined.status());
+  return FinishMine(args, mined.value(), relation.schema(), "fdtool");
 }
 
 /// `mine --checkpoint-dir=DIR`: crash-safe mining over the CSV path
@@ -325,75 +336,42 @@ int CmdMine(const Relation& relation, const ArgParser& args) {
 /// file, so this bypasses the generic relation loader). Restricted to
 /// the Dep-Miner pipelines — they are the ones with phase boundaries to
 /// checkpoint at.
-int CmdMineCheckpointed(const ArgParser& args) {
+int CmdMineCheckpointed(const ArgParser& args, const ParsedMineRequest& mine) {
   if (args.positional().size() < 2) return Usage();
   const std::string& path = args.positional()[1];
   if (HasSuffix(path, ".dmc")) {
-    std::fprintf(stderr,
-                 "error: --checkpoint-dir mines CSV input (the checkpoint "
-                 "job is keyed by the CSV's content fingerprint)\n");
-    return 2;
+    return UsageError(
+        "--checkpoint-dir mines CSV input (the checkpoint job is keyed by "
+        "the CSV's content fingerprint)");
   }
-  const std::string algo = args.GetString("algo", "depminer");
-  if (algo != "depminer" && algo != "depminer2") {
-    std::fprintf(stderr,
-                 "error: --checkpoint-dir supports --algo=depminer or "
-                 "depminer2, got \"%s\"\n",
-                 algo.c_str());
-    return 2;
+  if (mine.algo != "depminer" && mine.algo != "depminer2") {
+    return UsageError(
+        "--checkpoint-dir supports --algo=depminer or depminer2, got \"" +
+        mine.algo + "\"");
   }
   CheckpointedMineOptions options;
   options.checkpoint_dir = args.GetString("checkpoint-dir", "");
-  options.algorithm = algo == "depminer2" ? AgreeSetAlgorithm::kIdentifiers
-                                          : AgreeSetAlgorithm::kCouples;
-  options.num_threads = ThreadsFlag(args);
-  options.run_context = &g_run_context;
+  options.algorithm = mine.algo == "depminer2"
+                          ? AgreeSetAlgorithm::kIdentifiers
+                          : AgreeSetAlgorithm::kCouples;
+  options.num_threads = mine.request.num_threads;
+  options.run_context = mine.request.run_context;
   options.csv = CsvFlags(args);
 
   Result<CheckpointedMineResult> mined = MineCsvWithCheckpoints(path, options);
-  if (!mined.ok()) {
-    std::fprintf(stderr, "error: %s\n", mined.status().ToString().c_str());
-    return 1;
-  }
-  const CheckpointedMineResult& outcome = mined.value();
-  if (outcome.resumed_from != MinePhase::kNone) {
+  if (!mined.ok()) return Fail(mined.status());
+  CheckpointedMineResult& result = mined.value();
+  if (result.resumed_from != MinePhase::kNone) {
     Log(LogLevel::kInfo, "checkpoint",
-        "resumed from phase '" + std::string(ToString(outcome.resumed_from)) +
-            "' (" + outcome.checkpoint_path + ")",
-        {LogStr("phase", ToString(outcome.resumed_from)),
-         LogStr("path", outcome.checkpoint_path)});
+        "resumed from phase '" + std::string(ToString(result.resumed_from)) +
+            "' (" + result.checkpoint_path + ")",
+        {LogStr("phase", ToString(result.resumed_from)),
+         LogStr("path", result.checkpoint_path)});
   }
-  {
-    PhaseTimer render_timer("phase/render", nullptr);
-    const std::string out = args.GetString("out", "");
-    if (!out.empty()) {
-      Status st = SaveFdSet(outcome.fds, outcome.schema, out);
-      if (!st.ok()) {
-        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-        return 1;
-      }
-    } else {
-      std::fputs(RenderCover(outcome.fds, outcome.schema).c_str(), stdout);
-    }
-  }
-  if (!outcome.complete) {
-    Log(LogLevel::kWarn, "checkpoint",
-        "run interrupted (" + outcome.run_status.ToString() +
-            "); partial results:\n" + std::to_string(outcome.fds.size()) +
-            " minimal FDs (possibly incomplete)\ncheckpoint: " +
-            outcome.checkpoint_path +
-            "\nre-run the same command to resume from it",
-        {LogStr("status", outcome.run_status.ToString()),
-         LogNum("fds", static_cast<uint64_t>(outcome.fds.size())),
-         LogStr("checkpoint", outcome.checkpoint_path)});
-    return InterruptedExitCode(outcome.run_status);
-  }
-  Log(LogLevel::kInfo, "checkpoint",
-      std::to_string(outcome.fds.size()) + " minimal FDs (fingerprint " +
-          outcome.fingerprint.ToHex() + ")",
-      {LogNum("fds", static_cast<uint64_t>(outcome.fds.size())),
-       LogStr("fingerprint", outcome.fingerprint.ToHex())});
-  return 0;
+  const MineOutcome outcome{std::move(result.fds), {}, result.complete,
+                            result.run_status};
+  return FinishMine(args, outcome, result.schema, "checkpoint",
+                    result.checkpoint_path, result.fingerprint.ToHex());
 }
 
 int CmdConvert(const Relation& relation, const ArgParser& args) {
@@ -401,31 +379,25 @@ int CmdConvert(const Relation& relation, const ArgParser& args) {
   const std::string& out = args.positional()[2];
   Status st = HasSuffix(out, ".dmc") ? WriteColumnFile(relation, out)
                                      : WriteCsvRelation(relation, out);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  if (!st.ok()) return Fail(st);
   std::fprintf(stderr, "wrote %s (%zu tuples)\n", out.c_str(),
                relation.num_tuples());
   return 0;
 }
 
-int CmdProfile(const Relation& relation, const ArgParser& args) {
-  const std::string source = args.positional()[1];
+int CmdProfile(const Relation& relation, const ArgParser& args,
+               const MineRequest& mine) {
   ProfileOptions options;
   // Only the arity cap applies here: the profile's mining pass is the
   // Dep-Miner pipeline (no approximate path) and its report wants the
   // whole capped cover, not a top-k slice. A capped profile notes that
   // the Armstrong sample is unavailable instead of building one from a
   // partial cover.
-  options.mining.mining.max_lhs_arity =
-      static_cast<size_t>(args.GetInt("arity", 0));
-  options.mining.run_context = &g_run_context;
-  Result<RelationProfile> profile = ProfileRelation(relation, source, options);
-  if (!profile.ok()) {
-    std::fprintf(stderr, "error: %s\n", profile.status().ToString().c_str());
-    return 1;
-  }
+  options.mining.mining.max_lhs_arity = mine.mining.max_lhs_arity;
+  options.mining.run_context = mine.run_context;
+  Result<RelationProfile> profile =
+      ProfileRelation(relation, args.positional()[1], options);
+  if (!profile.ok()) return Fail(profile.status());
   const std::string format = args.GetString("format", "md");
   if (format == "json") {
     std::printf("%s\n", ProfileToJson(profile.value()).c_str());
@@ -439,10 +411,7 @@ int CmdArmstrong(const Relation& relation, const ArgParser& args) {
   DepMinerOptions options;
   options.run_context = &g_run_context;
   Result<DepMinerResult> mined = MineDependencies(relation, options);
-  if (!mined.ok()) {
-    std::fprintf(stderr, "error: %s\n", mined.status().ToString().c_str());
-    return 1;
-  }
+  if (!mined.ok()) return Fail(mined.status());
   if (!mined.value().complete) {
     std::fprintf(stderr, "run interrupted (%s); no Armstrong relation\n",
                  mined.value().run_status.ToString().c_str());
@@ -452,11 +421,7 @@ int CmdArmstrong(const Relation& relation, const ArgParser& args) {
   if (args.GetBool("synthetic", false)) {
     Result<Relation> synthetic =
         BuildSyntheticArmstrong(relation.schema(), mined.value().all_max_sets);
-    if (!synthetic.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   synthetic.status().ToString().c_str());
-      return 1;
-    }
+    if (!synthetic.ok()) return Fail(synthetic.status());
     sample = std::move(synthetic).value();
   } else if (mined.value().armstrong.has_value()) {
     sample = *mined.value().armstrong;
@@ -471,10 +436,7 @@ int CmdArmstrong(const Relation& relation, const ArgParser& args) {
     std::printf("%s", CsvToString(sample).c_str());
   } else {
     Status st = WriteCsvRelation(sample, out);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
+    if (!st.ok()) return Fail(st);
   }
   std::fprintf(stderr, "%zu tuples (input had %zu)\n", sample.num_tuples(),
                relation.num_tuples());
@@ -484,10 +446,7 @@ int CmdArmstrong(const Relation& relation, const ArgParser& args) {
 int CmdKeys(const Relation& relation) {
   Result<MineOutcome> mined =
       MineByName(relation, "depminer", {1, &g_run_context, {}});
-  if (!mined.ok()) {
-    std::fprintf(stderr, "error: %s\n", mined.status().ToString().c_str());
-    return 1;
-  }
+  if (!mined.ok()) return Fail(mined.status());
   if (!mined.value().complete) {
     // Keys from a partial cover would merely be key *candidates*; say so
     // rather than print something wrong.
@@ -504,10 +463,7 @@ int CmdKeys(const Relation& relation) {
 int CmdNormalize(const Relation& relation) {
   Result<MineOutcome> mined =
       MineByName(relation, "depminer", {1, &g_run_context, {}});
-  if (!mined.ok()) {
-    std::fprintf(stderr, "error: %s\n", mined.status().ToString().c_str());
-    return 1;
-  }
+  if (!mined.ok()) return Fail(mined.status());
   if (!mined.value().complete) {
     std::fprintf(stderr, "run interrupted (%s); analysis unavailable\n",
                  mined.value().run_status.ToString().c_str());
@@ -529,10 +485,7 @@ int CmdVerify(const Relation& relation, const ArgParser& args) {
   if (args.positional().size() < 3) return Usage();
   Result<FunctionalDependency> fd =
       ParseFd(relation.schema(), args.positional()[2]);
-  if (!fd.ok()) {
-    std::fprintf(stderr, "error: %s\n", fd.status().ToString().c_str());
-    return 1;
-  }
+  if (!fd.ok()) return Fail(fd.status());
   const bool holds = Holds(relation, fd.value());
   std::printf("%s: %s", fd.value().ToString(relation.schema()).c_str(),
               holds ? "holds" : "violated");
@@ -553,10 +506,7 @@ int CmdRepair(const Relation& relation, const ArgParser& args) {
   if (args.positional().size() < 3) return Usage();
   Result<FunctionalDependency> fd =
       ParseFd(relation.schema(), args.positional()[2]);
-  if (!fd.ok()) {
-    std::fprintf(stderr, "error: %s\n", fd.status().ToString().c_str());
-    return 1;
-  }
+  if (!fd.ok()) return Fail(fd.status());
   const FdRepair repair = ComputeRepair(relation, fd.value());
   std::fprintf(stderr, "%s: g3 = %.4f, %zu tuple(s) to remove\n",
                fd.value().ToString(relation.schema()).c_str(), repair.g3,
@@ -569,16 +519,9 @@ int CmdRepair(const Relation& relation, const ArgParser& args) {
   if (!out.empty()) {
     Result<Relation> repaired =
         ApplyRepair(relation, repair.tuples_to_remove);
-    if (!repaired.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   repaired.status().ToString().c_str());
-      return 1;
-    }
+    if (!repaired.ok()) return Fail(repaired.status());
     Status st = WriteCsvRelation(repaired.value(), out);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
+    if (!st.ok()) return Fail(st);
     std::fprintf(stderr, "wrote %s (%zu tuples)\n", out.c_str(),
                  repaired.value().num_tuples());
   }
@@ -601,52 +544,28 @@ int CmdStats(const Relation& relation) {
 
 }  // namespace
 
-Status LoadMany(const ArgParser& args, std::vector<Relation>* owned,
-                std::vector<std::string>* labels) {
+/// `inds` (unary inclusion dependencies) and, with `foreign_keys`, `fks`
+/// (foreign-key candidates) across the inputs, each labelled by its path.
+int CmdInds(const ArgParser& args, bool foreign_keys) {
+  if (args.positional().size() < 2) return Usage();
+  const std::vector<std::string> labels(args.positional().begin() + 1,
+                                        args.positional().end());
+  std::vector<Relation> owned;
   for (size_t i = 1; i < args.positional().size(); ++i) {
-    Result<Relation> r =
-        HasSuffix(args.positional()[i], ".dmc")
-            ? ReadColumnFile(args.positional()[i])
-            : ReadCsvRelation(args.positional()[i], CsvFlags(args));
-    if (!r.ok()) return r.status();
-    owned->push_back(std::move(r).value());
-    labels->push_back(args.positional()[i]);
-  }
-  return Status::OK();
-}
-
-int CmdInds(const ArgParser& args) {
-  if (args.positional().size() < 2) return Usage();
-  std::vector<Relation> owned;
-  std::vector<std::string> labels;
-  Status st = LoadMany(args, &owned, &labels);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
+    Result<Relation> r = Load(args, i);
+    if (!r.ok()) return Fail(r.status());
+    owned.push_back(std::move(r).value());
   }
   std::vector<const Relation*> relations;
-  relations.reserve(owned.size());
   for (const Relation& r : owned) relations.push_back(&r);
-  const std::vector<UnaryInd> inds = DiscoverUnaryInds(relations);
-  for (const UnaryInd& ind : inds) {
-    std::printf("%s\n", IndToString(ind, relations, labels).c_str());
+  if (!foreign_keys) {
+    const std::vector<UnaryInd> inds = DiscoverUnaryInds(relations);
+    for (const UnaryInd& ind : inds) {
+      std::printf("%s\n", IndToString(ind, relations, labels).c_str());
+    }
+    std::fprintf(stderr, "%zu unary inclusion dependencies\n", inds.size());
+    return 0;
   }
-  std::fprintf(stderr, "%zu unary inclusion dependencies\n", inds.size());
-  return 0;
-}
-
-int CmdFks(const ArgParser& args) {
-  if (args.positional().size() < 2) return Usage();
-  std::vector<Relation> owned;
-  std::vector<std::string> labels;
-  Status st = LoadMany(args, &owned, &labels);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  std::vector<const Relation*> relations;
-  relations.reserve(owned.size());
-  for (const Relation& r : owned) relations.push_back(&r);
   ForeignKeyOptions options;
   options.skip_self_references = args.GetBool("no-self", false);
   const std::vector<ForeignKeyCandidate> fks =
@@ -664,10 +583,7 @@ int CmdImplies(const ArgParser& args) {
   if (args.positional().size() < 3) return Usage();
   Schema schema;
   Result<FdSet> fds = LoadFdSet(args.positional()[1], &schema);
-  if (!fds.ok()) {
-    std::fprintf(stderr, "error: %s\n", fds.status().ToString().c_str());
-    return 1;
-  }
+  if (!fds.ok()) return Fail(fds.status());
   Result<FunctionalDependency> fd = ParseFd(schema, args.positional()[2]);
   if (!fd.ok()) {
     // `implies` has always printed a malformed query without its code.
@@ -689,13 +605,8 @@ int CmdDiff(const ArgParser& args) {
   Schema old_schema, new_schema;
   Result<FdSet> old_fds = LoadFdSet(args.positional()[1], &old_schema);
   Result<FdSet> new_fds = LoadFdSet(args.positional()[2], &new_schema);
-  if (!old_fds.ok() || !new_fds.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 (!old_fds.ok() ? old_fds.status() : new_fds.status())
-                     .ToString()
-                     .c_str());
-    return 1;
-  }
+  if (!old_fds.ok()) return Fail(old_fds.status());
+  if (!new_fds.ok()) return Fail(new_fds.status());
   if (!(old_schema == new_schema)) {
     std::fprintf(stderr, "error: the two covers name different schemas\n");
     return 1;
@@ -715,13 +626,13 @@ int CmdDiff(const ArgParser& args) {
 /// injected fault yields a well-formed error or a sound partial result.
 /// The summary line (printed to stdout) carries the fired-fault count the
 /// smoke scripts assert on.
-int CmdFaultSweep(const ArgParser& args) {
+int CmdFaultSweep(const ArgParser& args, const MineRequest& mine) {
   FaultSweepOptions options;
   options.iterations = static_cast<size_t>(args.GetInt("iterations", 50));
   options.start_seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   // Two lanes by default so the pool sites (lane stalls) are reachable;
   // --threads overrides as usual.
-  options.num_threads = args.Has("threads") ? ThreadsFlag(args) : 2;
+  options.num_threads = args.Has("threads") ? mine.num_threads : 2;
   const std::string sites = args.GetString("site", "");
   if (!sites.empty()) {
     for (const std::string& raw : Split(sites, ',')) {
@@ -731,36 +642,25 @@ int CmdFaultSweep(const ArgParser& args) {
   }
   options.log_every = options.iterations >= 20 ? 10 : 0;
   Result<FaultSweepReport> run = RunFaultSweep(options);
-  if (!run.ok()) {
-    std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
-    return 1;
-  }
+  if (!run.ok()) return Fail(run.status());
   std::printf("fault sweep: %s\n", run.value().ToString().c_str());
   return run.value().ok() ? 0 : 1;
 }
 
-int CmdFuzz(const ArgParser& args) {
-  if (args.GetBool("faults", false)) return CmdFaultSweep(args);
+int CmdFuzz(const ArgParser& args, const MineRequest& mine) {
+  if (args.GetBool("faults", false)) return CmdFaultSweep(args, mine);
   FuzzOptions options;
-  options.iterations =
-      static_cast<size_t>(args.GetInt("iterations", 100));
+  options.iterations = static_cast<size_t>(args.GetInt("iterations", 100));
   options.start_seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   options.shrink = args.GetBool("shrink", true);
   options.repro_dir = args.GetString("repro-dir", "fuzz-repros");
-  if (args.Has("threads")) {
-    options.oracle.thread_counts = {1, ThreadsFlag(args)};
-  }
+  if (args.Has("threads")) options.oracle.thread_counts = {1, mine.num_threads};
   // --arity moves the cap the pruning cross-checks (capped-vs-filtered,
   // forced-ε=0) run every miner under; the default of 2 bites on most
   // generated relations.
-  if (args.Has("arity")) {
-    options.oracle.arity_cap = static_cast<size_t>(args.GetInt("arity", 2));
-  }
+  if (args.Has("arity")) options.oracle.arity_cap = mine.mining.max_lhs_arity;
   Result<FuzzResult> run = RunFuzzHarness(options);
-  if (!run.ok()) {
-    std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
-    return 1;
-  }
+  if (!run.ok()) return Fail(run.status());
   const FuzzResult& result = run.value();
   Log(LogLevel::kInfo, "fdtool",
       "fuzz: " + std::to_string(result.cases_run) + " cases (seeds " +
@@ -787,7 +687,7 @@ int CmdFuzz(const ArgParser& args) {
 /// name substring; without, a custom relation from --tuples /
 /// --attributes / --identical-rate. The observability smoke in
 /// scripts/check.sh mines a small --corpus-scale point with telemetry on.
-int CmdDatagen(const ArgParser& args) {
+int CmdDatagen(const ArgParser& args, const MineRequest& mine) {
   if (args.positional().size() < 2) return Usage();
   const std::string& out = args.positional()[1];
   SyntheticConfig config;
@@ -799,11 +699,8 @@ int CmdDatagen(const ArgParser& args) {
     const double scale = std::strtod(raw.c_str(), &end);
     if (raw.empty() || end == raw.c_str() || *end != '\0' ||
         !(scale > 0.0)) {
-      std::fprintf(stderr,
-                   "error: --corpus-scale must be a positive real, got "
-                   "\"%s\"\n",
-                   raw.c_str());
-      return 2;
+      return UsageError("--corpus-scale must be a positive real, got \"" +
+                        raw + "\"");
     }
     const std::vector<CorpusSpec> corpus = PaperScaleCorpus(scale,
                                                             config.seed);
@@ -840,28 +737,18 @@ int CmdDatagen(const ArgParser& args) {
       const double rate = std::strtod(raw.c_str(), &end);
       if (raw.empty() || end == raw.c_str() || *end != '\0' ||
           !(rate >= 0.0) || rate > 1.0) {
-        std::fprintf(stderr,
-                     "error: --identical-rate must be a real in [0,1], "
-                     "got \"%s\"\n",
-                     raw.c_str());
-        return 2;
+        return UsageError("--identical-rate must be a real in [0,1], got \"" +
+                          raw + "\"");
       }
       config.identical_rate = rate;
     }
   }
-  config.num_threads = ThreadsFlag(args);
-  config.run_context = &g_run_context;
+  config.num_threads = mine.num_threads;
+  config.run_context = mine.run_context;
   Result<Relation> generated = GenerateSynthetic(config);
-  if (!generated.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 generated.status().ToString().c_str());
-    return 1;
-  }
+  if (!generated.ok()) return Fail(generated.status());
   Status st = WriteCsvRelation(generated.value(), out);
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  if (!st.ok()) return Fail(st);
   Log(LogLevel::kInfo, "fdtool",
       "wrote " + out + " (" +
           std::to_string(generated.value().num_tuples()) + " tuples, " +
@@ -879,10 +766,7 @@ int CmdDatagen(const ArgParser& args) {
 int CmdCatalog(const ArgParser& args) {
   if (args.positional().size() < 3) return Usage();
   Result<Catalog> catalog = Catalog::Open(args.positional()[1]);
-  if (!catalog.ok()) {
-    std::fprintf(stderr, "error: %s\n", catalog.status().ToString().c_str());
-    return 1;
-  }
+  if (!catalog.ok()) return Fail(catalog.status());
   const std::string& action = args.positional()[2];
   if (action == "list") {
     for (const std::string& name : catalog.value().List()) {
@@ -893,32 +777,20 @@ int CmdCatalog(const ArgParser& args) {
   if (action == "put" && args.positional().size() >= 5) {
     Result<Relation> r =
         ReadCsvRelation(args.positional()[4], CsvFlags(args));
-    if (!r.ok()) {
-      std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
+    if (!r.ok()) return Fail(r.status());
     Status st = catalog.value().Put(args.positional()[3], r.value());
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
+    if (!st.ok()) return Fail(st);
     return 0;
   }
   if (action == "get" && args.positional().size() >= 4) {
     Result<Relation> r = catalog.value().Get(args.positional()[3]);
-    if (!r.ok()) {
-      std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
+    if (!r.ok()) return Fail(r.status());
     std::printf("%s", CsvToString(r.value()).c_str());
     return 0;
   }
   if (action == "drop" && args.positional().size() >= 4) {
     Status st = catalog.value().Drop(args.positional()[3]);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
+    if (!st.ok()) return Fail(st);
     return 0;
   }
   return Usage();
@@ -936,25 +808,19 @@ void HandleServeSignal(int /*signum*/) {
 /// `fdtool serve --catalog-dir=DIR --socket=PATH`: the long-running
 /// FD-discovery daemon (docs/SERVING.md). Exit 0 after a graceful
 /// drain, 1 on a serving error, 2 on usage errors.
-int CmdServe(const ArgParser& args) {
-  const std::string catalog_dir = args.GetString("catalog-dir", "");
-  const std::string socket_path = args.GetString("socket", "");
-  if (catalog_dir.empty() || socket_path.empty()) {
-    std::fprintf(stderr,
-                 "error: serve requires --catalog-dir=DIR and "
-                 "--socket=PATH\n");
-    return 2;
-  }
+int CmdServe(const ArgParser& args, const MineRequest& mine) {
   ServerOptions options;
-  options.catalog_dir = catalog_dir;
-  options.socket_path = socket_path;
+  options.catalog_dir = args.GetString("catalog-dir", "");
+  options.socket_path = args.GetString("socket", "");
+  if (options.catalog_dir.empty() || options.socket_path.empty()) {
+    return UsageError("serve requires --catalog-dir=DIR and --socket=PATH");
+  }
   const int64_t queue_max = args.GetInt("queue-max", 32);
   if (queue_max <= 0) {
-    std::fprintf(stderr, "error: --queue-max must be a positive integer\n");
-    return 2;
+    return UsageError("--queue-max must be a positive integer");
   }
   options.max_connections = static_cast<size_t>(queue_max);
-  options.num_threads = ThreadsFlag(args);
+  options.num_threads = mine.num_threads;
   options.metrics_path = args.GetString("metrics-out", "");
   options.shutdown_flag = &g_serve_shutdown;
 
@@ -965,15 +831,9 @@ int CmdServe(const ArgParser& args) {
 
   Server server(options);
   Status st = server.Start();
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  if (!st.ok()) return Fail(st);
   st = server.Serve();
-  if (!st.ok()) {
-    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  if (!st.ok()) return Fail(st);
   return 0;
 }
 
@@ -985,26 +845,24 @@ int CmdServe(const ArgParser& args) {
 int CmdClient(const ArgParser& args) {
   const std::string socket_path = args.GetString("socket", "");
   if (socket_path.empty() || args.positional().size() < 2) {
-    std::fprintf(stderr,
-                 "error: client requires --socket=PATH and a command "
-                 "(ping|list|stats|info|put|drop|mine|profile)\n");
-    return 2;
+    return UsageError(
+        "client requires --socket=PATH and a command "
+        "(ping|list|stats|info|put|drop|mine|profile)");
   }
   const std::string verb = args.positional()[1];
   std::string command_line;
   std::string body;
   if (verb == "ping" || verb == "list" || verb == "stats") {
     command_line = verb;
-  } else if (verb == "info" || verb == "drop") {
-    if (args.positional().size() < 3) {
-      std::fprintf(stderr, "error: client %s NAME\n", verb.c_str());
-      return 2;
-    }
-    command_line = verb + " " + args.positional()[2];
   } else if (verb == "put") {
     if (args.positional().size() < 4) {
-      std::fprintf(stderr, "error: client put NAME data.csv\n");
-      return 2;
+      return UsageError("client put NAME data.csv");
+    }
+    for (const char* flag : {"nulls-distinct", "null-token"}) {
+      if (args.Has(flag)) {
+        return UsageError(std::string("client put cannot send --") + flag +
+                          ": PUT stores NULL tokens as ordinary values");
+      }
     }
     command_line = "put " + args.positional()[2];
     if (args.GetBool("no-header", false)) command_line += " header=0";
@@ -1019,47 +877,32 @@ int CmdClient(const ArgParser& args) {
     std::ostringstream csv;
     csv << in.rdbuf();
     body = csv.str();
-  } else if (verb == "mine" || verb == "profile") {
+  } else if (verb == "info" || verb == "drop" || verb == "mine" ||
+             verb == "profile") {
     if (args.positional().size() < 3) {
-      std::fprintf(stderr, "error: client %s NAME\n", verb.c_str());
-      return 2;
+      return UsageError("client " + verb + " NAME");
     }
     command_line = verb + " " + args.positional()[2];
     if (verb == "mine") {
-      if (args.Has("algo")) {
-        command_line += " algo=" + args.GetString("algo", "");
-      }
-      static constexpr std::pair<const char*, const char*> kMineParams[] = {
-          {"threads", "threads"},       {"arity", "arity"},
-          {"topk", "topk"},             {"error", "error"},
-          {"timeout-ms", "timeout_ms"}, {"memory-budget-mb", "budget_mb"}};
-      for (const auto& [flag, param] : kMineParams) {
-        if (args.Has(flag)) {
-          command_line +=
-              " " + std::string(param) + "=" + args.GetString(flag, "");
+      // main() has parsed these under MINE's own rules already.
+      for (const MineKey& key : kMineKeys) {
+        if (args.Has(key.flag)) {
+          command_line += std::string(" ") + key.wire + "=" +
+                          args.GetString(key.flag, "");
         }
       }
       if (args.GetBool("no-cache", false)) command_line += " nocache=1";
-    } else if (args.Has("format")) {
+    } else if (verb == "profile" && args.Has("format")) {
       command_line += " format=" + args.GetString("format", "");
     }
   } else {
-    std::fprintf(stderr, "error: unknown client command '%s'\n",
-                 verb.c_str());
-    return 2;
+    return UsageError("unknown client command '" + verb + "'");
   }
 
   Result<ServerClient> client = ServerClient::Connect(socket_path);
-  if (!client.ok()) {
-    std::fprintf(stderr, "error: %s\n", client.status().ToString().c_str());
-    return 1;
-  }
+  if (!client.ok()) return Fail(client.status());
   Result<Response> response = client.value().Call(command_line, body);
-  if (!response.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 response.status().ToString().c_str());
-    return 1;
-  }
+  if (!response.ok()) return Fail(response.status());
   const Response& r = response.value();
   if (!r.ok) {
     std::fprintf(stderr, "error: %s %s\n", r.code.c_str(),
@@ -1092,50 +935,32 @@ int main(int argc, char** argv) {
   if (args.positional().empty()) return Usage();
   const std::string command = args.positional()[0];
 
-  // GetInt maps unparsable values to 0, which for these two flags would
-  // silently mean "unlimited" — exactly what a user typing a limit did
-  // not ask for. Reject anything that is not a plain non-negative number.
-  for (const char* flag : {"timeout-ms", "memory-budget-mb", "threads",
-                           "iterations", "seed", "fault-hit",
+  // The mine keys parse once, for every command, under the rules MINE
+  // shares (src/core/mine_by_name.h).
+  Result<ParsedMineRequest> mine =
+      ParseMineRequest(args.flags(), KeySpelling::kFlag);
+  if (!mine.ok()) return UsageError(mine.status().message());
+  // GetInt maps unparsable values to 0 — for a count, a silent default
+  // nobody asked for. Reject anything that is not a plain non-negative
+  // number.
+  for (const char* flag : {"iterations", "seed", "fault-hit",
                            "fault-stall-ms", "progress-ms", "sample-ms",
                            "tuples", "attributes", "queue-max"}) {
     if (!args.Has(flag)) continue;
     const std::string raw = args.GetString(flag, "");
     if (raw.empty() ||
         raw.find_first_not_of("0123456789") != std::string::npos) {
-      std::fprintf(stderr, "error: --%s must be a non-negative integer, got \"%s\"\n",
-                   flag, raw.c_str());
-      return 2;
+      return UsageError("--" + std::string(flag) +
+                        " must be a non-negative integer, got \"" + raw +
+                        "\"");
     }
-  }
-  // The pruning knobs. --arity/--topk are caps, and GetInt also returns 0
-  // for garbage — so an explicit 0 (which would silently mean "unbounded")
-  // is rejected along with anything non-numeric.
-  for (const char* flag : {"arity", "topk"}) {
-    if (!args.Has(flag)) continue;
-    const std::string raw = args.GetString(flag, "");
-    if (raw.empty() ||
-        raw.find_first_not_of("0123456789") != std::string::npos ||
-        args.GetInt(flag, 0) == 0) {
-      std::fprintf(stderr,
-                   "error: --%s must be a positive integer, got \"%s\"\n",
-                   flag, raw.c_str());
-      return 2;
-    }
-  }
-  if (args.Has("algo") && !IsKnownMiner(args.GetString("algo", ""))) {
-    std::fprintf(stderr, "error: unknown --algo \"%s\" (%s)\n",
-                 args.GetString("algo", "").c_str(), MinerNames().c_str());
-    return 2;
   }
   if (args.Has("delimiter")) {
     CsvOptions csv;
     const Status delimiter =
         SetCsvDelimiter(args.GetString("delimiter", ""), &csv);
     if (!delimiter.ok()) {
-      std::fprintf(stderr, "error: --delimiter: %s\n",
-                   delimiter.message().c_str());
-      return 2;
+      return UsageError("--delimiter: " + delimiter.message());
     }
   }
   // Observability front matter: configure the logger before anything can
@@ -1145,70 +970,37 @@ int main(int argc, char** argv) {
     const std::string raw = args.GetString("log-level", "");
     Result<LogLevel> level = ParseLogLevel(raw);
     if (!level.ok()) {
-      std::fprintf(stderr,
-                   "error: --log-level must be debug|info|warn|error|off, "
-                   "got \"%s\"\n",
-                   raw.c_str());
-      return 2;
+      return UsageError(
+          "--log-level must be debug|info|warn|error|off, got \"" + raw +
+          "\"");
     }
     SetLogLevel(level.value());
   }
   if (args.GetBool("log-json", false)) SetLogJson(true);
   const std::string trace_path = args.GetString("trace", "");
   if (!trace_path.empty() && !HasSuffix(trace_path, ".json")) {
-    std::fprintf(stderr,
-                 "error: --trace writes a chrome://tracing JSON file and "
-                 "expects a .json path, got \"%s\"\n",
-                 trace_path.c_str());
-    return 2;
+    return UsageError(
+        "--trace writes a chrome://tracing JSON file and expects a .json "
+        "path, got \"" +
+        trace_path + "\"");
   }
   const std::string metrics_out = args.GetString("metrics-out", "");
   if (!metrics_out.empty()) {
     Result<MetricsFormat> format = MetricsFormatForPath(metrics_out);
-    if (!format.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   format.status().ToString().c_str());
-      return 2;
-    }
+    if (!format.ok()) return UsageError(format.status().ToString());
   }
-  if (args.Has("error")) {
-    const std::string raw = args.GetString("error", "");
-    char* end = nullptr;
-    const double eps = std::strtod(raw.c_str(), &end);
-    if (raw.empty() || end == raw.c_str() || *end != '\0' ||
-        !(eps >= 0.0) || eps >= 1.0) {
-      std::fprintf(stderr,
-                   "error: --error must be a real number in [0,1), got "
-                   "\"%s\"\n",
-                   raw.c_str());
-      return 2;
-    }
-    if ((command != "mine" && command != "client") ||
-        args.GetString("algo", "depminer") != "tane") {
-      std::fprintf(stderr,
-                   "error: --error (approximate discovery) requires "
-                   "mine --algo=tane\n");
-      return 2;
-    }
+  if (args.Has("error") && command != "mine" && command != "client") {
+    return UsageError(
+        "--error (approximate discovery) requires mine --algo=tane");
   }
   if (args.Has("checkpoint-dir") &&
       (args.Has("arity") || args.Has("error") || args.Has("topk"))) {
     // A checkpointed job is keyed by the input fingerprint alone; resuming
     // it under different pruning knobs would splice mismatched phases.
-    std::fprintf(stderr,
-                 "error: --arity/--error/--topk cannot be combined with "
-                 "--checkpoint-dir\n");
-    return 2;
+    return UsageError(
+        "--arity/--error/--topk cannot be combined with --checkpoint-dir");
   }
-  const int64_t timeout_ms = args.GetInt("timeout-ms", 0);
-  if (timeout_ms > 0) {
-    g_run_context.SetTimeout(std::chrono::milliseconds(timeout_ms));
-  }
-  const int64_t budget_mb = args.GetInt("memory-budget-mb", 0);
-  if (budget_mb > 0) {
-    g_run_context.SetMemoryBudget(static_cast<size_t>(budget_mb) * 1024 *
-                                  1024);
-  }
+  mine.value().Arm(&g_run_context);
   (void)std::signal(SIGINT, HandleSigint);
 
   // Debug fault injection: install the requested plan for the whole
@@ -1228,8 +1020,7 @@ int main(int argc, char** argv) {
     }
     plan.trigger_hit = static_cast<uint64_t>(args.GetInt("fault-hit", 0));
     plan.repeat = args.GetBool("fault-repeat", false);
-    const int64_t stall = args.GetInt("fault-stall-ms", 2);
-    plan.stall_ms = static_cast<uint32_t>(stall);
+    plan.stall_ms = static_cast<uint32_t>(args.GetInt("fault-stall-ms", 2));
 #if !DEPMINER_FAULTS_ENABLED
     std::fprintf(stderr,
                  "warning: this build has fault injection compiled out "
@@ -1237,6 +1028,21 @@ int main(int argc, char** argv) {
 #endif
     fault_scope.emplace(plan);
   }
+
+  // Observability: the session and the resource sampler are declared
+  // before the heartbeat, so every exit path stops the heartbeat before
+  // the session goes away.
+  const bool want_metrics = args.GetBool("metrics", false);
+  const bool tracing =
+      !trace_path.empty() || !metrics_out.empty() || want_metrics;
+  TraceSession session;
+  ResourceSamplerOptions sampler_options;
+  sampler_options.run_context = &g_run_context;
+  if (args.Has("sample-ms")) {
+    sampler_options.period_ms =
+        static_cast<int>(args.GetInt("sample-ms", 50));
+  }
+  ResourceSampler sampler(sampler_options);
 
   // Live progress: tracking plus a background heartbeat. Started before
   // command dispatch so the no-input commands (fuzz, checkpointed mine)
@@ -1249,52 +1055,37 @@ int main(int argc, char** argv) {
     heartbeat.Start();
   }
 
-  if (command == "inds") return CmdInds(args);
-  if (command == "fks") return CmdFks(args);
+  const MineRequest& request = mine.value().request;
+  if (command == "inds" || command == "fks") {
+    return CmdInds(args, command == "fks");
+  }
   if (command == "implies") return CmdImplies(args);
   if (command == "diff") return CmdDiff(args);
   if (command == "catalog") return CmdCatalog(args);
-  if (command == "fuzz") return CmdFuzz(args);
-  if (command == "datagen") return CmdDatagen(args);
-  if (command == "serve") return CmdServe(args);
+  if (command == "fuzz") return CmdFuzz(args, request);
+  if (command == "datagen") return CmdDatagen(args, request);
+  if (command == "serve") return CmdServe(args, request);
   if (command == "client") return CmdClient(args);
 
-  // A checkpointed mine reads the CSV itself: its job is keyed by the
-  // file's content fingerprint.
-  const bool checkpointed = command == "mine" && args.Has("checkpoint-dir");
-  Result<Relation> input = checkpointed ? Relation() : Load(args);
-  if (!input.ok()) {
-    std::fprintf(stderr, "error: %s\n", input.status().ToString().c_str());
-    return 1;
-  }
-  const Relation& relation = input.value();
-
-  // Observability: the session starts after the CSV load so the trace
-  // and the `phase/*` summary cover exactly the command's pipeline work
-  // (what the paper's tables time), not file parsing; a checkpointed
-  // mine parses inside `phase/strip`. The resource sampler shares the
-  // session's lifetime (Start after, Stop before — the session contract).
-  const bool want_metrics = args.GetBool("metrics", false);
-  const bool tracing =
-      !trace_path.empty() || !metrics_out.empty() || want_metrics;
-  TraceSession session;
-  ResourceSamplerOptions sampler_options;
-  sampler_options.run_context = &g_run_context;
-  if (args.Has("sample-ms")) {
-    sampler_options.period_ms =
-        static_cast<int>(args.GetInt("sample-ms", 50));
-  }
-  ResourceSampler sampler(sampler_options);
+  // The session opens before the input load (`phase/load`), so the trace
+  // and the `phase/*` summary cover the whole command. A checkpointed mine
+  // reads the CSV itself, inside `phase/strip`: its job is keyed by the
+  // file's content fingerprint. The resource sampler shares the session's
+  // lifetime (Start after, Stop before — the session contract).
   if (tracing) {
     session.Start();
     sampler.Start();
   }
+  const bool checkpointed = command == "mine" && args.Has("checkpoint-dir");
+  Result<Relation> input = checkpointed ? Relation() : Load(args);
+  if (!input.ok()) return Fail(input.status());
+  const Relation& relation = input.value();
 
   int rc;
   if (checkpointed) {
-    rc = CmdMineCheckpointed(args);
+    rc = CmdMineCheckpointed(args, mine.value());
   } else if (command == "mine") {
-    rc = CmdMine(relation, args);
+    rc = CmdMine(relation, args, mine.value());
   } else if (command == "armstrong") {
     rc = CmdArmstrong(relation, args);
   } else if (command == "keys") {
@@ -1310,7 +1101,7 @@ int main(int argc, char** argv) {
   } else if (command == "convert") {
     rc = CmdConvert(relation, args);
   } else if (command == "profile") {
-    rc = CmdProfile(relation, args);
+    rc = CmdProfile(relation, args, request);
   } else {
     return Usage();
   }
@@ -1329,7 +1120,7 @@ int main(int argc, char** argv) {
     if (!trace_path.empty()) {
       Status st = session.WriteChromeTrace(trace_path);
       if (!st.ok()) {
-        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+        Fail(st);
         if (rc == 0) rc = 1;
       } else {
         Log(LogLevel::kInfo, "fdtool",
@@ -1343,7 +1134,7 @@ int main(int argc, char** argv) {
     if (!metrics_out.empty()) {
       Status st = WriteMetricsFile(session, metrics_out);
       if (!st.ok()) {
-        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+        Fail(st);
         if (rc == 0) rc = 1;
       } else {
         Log(LogLevel::kInfo, "fdtool", "metrics written to " + metrics_out,

@@ -326,6 +326,17 @@ for preset in "${presets[@]}"; do
       echo "    ERROR: served cover differs from one-shot fdtool mine" >&2
       exit 1
     fi
+    # The client forwards each mine flag under its MINE parameter name.
+    "${fdtool}" client --socket="${sock}" mine ds --algo=tane --arity=2 \
+      --topk=3 >"${serve_dir}/flagged1.txt" 2>/dev/null
+    "${fdtool}" mine "${serve_dir}/data.csv" --algo=tane --arity=2 \
+      --topk=3 >"${serve_dir}/flagged_oneshot.txt" 2>/dev/null
+    if ! cmp -s "${serve_dir}/flagged1.txt" \
+        "${serve_dir}/flagged_oneshot.txt"; then
+      echo "    ERROR: served cover differs from one-shot fdtool mine" \
+        "--algo=tane --arity=2 --topk=3" >&2
+      exit 1
+    fi
     if ! grep -q 'label="cache_hit"} [1-9]' "${prom}"; then
       echo "    ERROR: no server/cache_hit in ${prom}" >&2
       cat "${prom}" >&2

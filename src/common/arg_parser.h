@@ -30,6 +30,8 @@ class ArgParser {
                                   std::vector<int64_t> default_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
+  /// Every `--name=value` flag; a bare `--name` maps to "".
+  const std::map<std::string, std::string>& flags() const { return flags_; }
 
  private:
   std::map<std::string, std::string> flags_;

@@ -44,9 +44,11 @@ struct MiningOptions {
     return max_lhs_arity == 0 || count <= max_lhs_arity;
   }
 
-  /// Validates the knob ranges (`max_g3_error` ∈ [0, 1)); `fdtool`
-  /// additionally rejects `--arity=0` and `--topk=0` at parse time, where
-  /// "explicitly zero" is distinguishable from "not given".
+  /// Validates the knob ranges (`max_g3_error` ∈ [0, 1)) for callers that
+  /// fill the struct directly. `fdtool` and MINE parse their requests
+  /// through `ParseMineRequest` (core/mine_by_name.h), which also rejects
+  /// an explicit `arity`/`topk` of 0, where "explicitly zero" is
+  /// distinguishable from "not given".
   Status Validate() const;
 };
 

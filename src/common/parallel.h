@@ -180,7 +180,9 @@ struct MorselPlan {
              size_t min_grain = 1024, size_t max_grain = 65536)
       : begin(begin_), end(end_ > begin_ ? end_ : begin_) {
     const size_t n = end - begin;
-    const size_t lanes = std::max<size_t>(1, num_threads);
+    // Past the pool's cap extra lanes never run, and 8 * lanes must not
+    // wrap to 0.
+    const size_t lanes = std::clamp<size_t>(num_threads, 1, kMaxPoolWorkers);
     const size_t hi_grain = std::max(min_grain, max_grain);
     grain = std::clamp(n / (8 * lanes), std::max<size_t>(1, min_grain),
                        hi_grain);

@@ -39,9 +39,16 @@ class RunContext {
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
-  /// Arms a deadline `timeout` from now. Call before starting the run.
+  /// Arms a deadline `timeout` from now. Call before starting the run. A
+  /// deadline past the clock's range is no deadline: the sum would wrap
+  /// into the past and trip at once.
   void SetTimeout(std::chrono::milliseconds timeout) {
-    SetDeadline(Clock::now() + timeout);
+    const Clock::time_point now = Clock::now();
+    if (timeout >= std::chrono::duration_cast<std::chrono::milliseconds>(
+                       Clock::time_point::max() - now)) {
+      return;
+    }
+    SetDeadline(now + timeout);
   }
 
   /// Arms an absolute wall-clock deadline.

@@ -1,5 +1,11 @@
 #include "core/mine_by_name.h"
 
+#include <cstdint>
+#include <cstdlib>
+#include <iterator>
+
+#include "common/parallel.h"
+#include "common/strings.h"
 #include "common/trace.h"
 #include "core/dep_miner.h"
 #include "fastfds/fastfds.h"
@@ -76,6 +82,10 @@ const Miner* FindMiner(const std::string& name) {
   return nullptr;
 }
 
+/// Indices into `kMineKeys`.
+enum Key : size_t { kAlgo, kThreads, kArity, kError, kTopK, kTimeout, kBudget };
+static_assert(std::size(kMineKeys) == kBudget + 1);
+
 }  // namespace
 
 std::vector<MinerSpec> Miners() {
@@ -93,7 +103,76 @@ std::string MinerNames() {
   return names;
 }
 
-bool IsKnownMiner(const std::string& name) { return FindMiner(name); }
+void ParsedMineRequest::Arm(RunContext* ctx) {
+  if (timeout.count() > 0) ctx->SetTimeout(timeout);
+  if (budget_bytes > 0) ctx->SetMemoryBudget(budget_bytes);
+  request.run_context = ctx;
+}
+
+Result<ParsedMineRequest> ParseMineRequest(
+    const std::map<std::string, std::string>& values, KeySpelling spelling) {
+  const bool flags = spelling == KeySpelling::kFlag;
+  const auto find = [&](Key key) -> const std::string* {
+    const auto it =
+        values.find(flags ? kMineKeys[key].flag : kMineKeys[key].wire);
+    return it == values.end() ? nullptr : &it->second;
+  };
+  const auto name = [&](Key key) {
+    return flags ? "--" + std::string(kMineKeys[key].flag)
+                 : std::string(kMineKeys[key].wire);
+  };
+  const auto malformed = [&](Key key, const char* rule) {
+    return Status::InvalidArgument(name(key) + " must be " + rule +
+                                   ", got \"" + *find(key) + "\"");
+  };
+  // The integer keys, in the order their errors are reported.
+  uint64_t number[kBudget + 1] = {};
+  number[kThreads] = 1;
+  for (const Key key : {kTimeout, kBudget, kThreads, kArity, kTopK}) {
+    const bool positive = key == kArity || key == kTopK;
+    const std::string* raw = find(key);
+    if (raw != nullptr && (!ParseUint64(*raw, &number[key]) ||
+                           (positive && number[key] == 0))) {
+      return malformed(key, positive ? "a positive integer"
+                                     : "a non-negative integer");
+    }
+  }
+  ParsedMineRequest parsed;
+  if (const std::string* algo = find(kAlgo)) {
+    if (FindMiner(*algo) == nullptr) {
+      return Status::InvalidArgument("unknown " + name(kAlgo) + " \"" +
+                                     *algo + "\" (" + MinerNames() + ")");
+    }
+    parsed.algo = *algo;
+  }
+  if (const std::string* raw = find(kError)) {
+    char* end = nullptr;
+    const double eps = std::strtod(raw->c_str(), &end);
+    if (raw->empty() || end != raw->c_str() + raw->size() || !(eps >= 0.0) ||
+        eps >= 1.0) {
+      return malformed(kError, "a real number in [0,1)");
+    }
+    if (parsed.algo != "tane") {
+      return Status::InvalidArgument(name(kError) +
+                                     " (approximate discovery) requires mine " +
+                                     name(kAlgo) + "=tane");
+    }
+    parsed.request.mining.max_g3_error = eps;
+  }
+  parsed.request.num_threads =
+      number[kThreads] == 0 ? DefaultThreadCount() : number[kThreads];
+  parsed.request.mining.max_lhs_arity = number[kArity];
+  parsed.request.mining.top_k = number[kTopK];
+  // A limit the clock or size_t cannot represent is no limit.
+  if (number[kTimeout] <= static_cast<uint64_t>(INT64_MAX)) {
+    parsed.timeout =
+        std::chrono::milliseconds(static_cast<int64_t>(number[kTimeout]));
+  }
+  if (number[kBudget] <= SIZE_MAX >> 20) {
+    parsed.budget_bytes = number[kBudget] << 20;
+  }
+  return parsed;
+}
 
 Result<MineOutcome> MineByName(const Relation& relation,
                                const std::string& algo,

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <chrono>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -22,13 +24,58 @@ std::vector<MinerSpec> Miners();
 /// The names joined by '|': "depminer|depminer2|tane|fastfds|fdep".
 std::string MinerNames();
 
-bool IsKnownMiner(const std::string& name);
-
 struct MineRequest {
   size_t num_threads = 1;
   RunContext* run_context = nullptr;
   MiningOptions mining;
 };
+
+/// One key of a mine request in its two spellings: the `fdtool` flag
+/// (`--timeout-ms=`) and the MINE parameter (`timeout_ms=`).
+struct MineKey {
+  const char* flag;
+  const char* wire;
+};
+
+/// The seven mine-request keys. `fdtool client` forwards its flags to
+/// MINE by walking this table.
+inline constexpr MineKey kMineKeys[] = {
+    {"algo", "algo"},         {"threads", "threads"},
+    {"arity", "arity"},       {"error", "error"},
+    {"topk", "topk"},         {"timeout-ms", "timeout_ms"},
+    {"memory-budget-mb", "budget_mb"},
+};
+
+enum class KeySpelling { kFlag, kWire };
+
+/// A mine request as `fdtool` flags or MINE parameters give it: the miner,
+/// the request `MineByName` takes, and the limits of the `RunContext`
+/// that will govern it.
+struct ParsedMineRequest {
+  std::string algo = "depminer";
+  MineRequest request;                   ///< run_context is set by `Arm`
+  std::chrono::milliseconds timeout{0};  ///< 0 = no deadline
+  size_t budget_bytes = 0;               ///< 0 = no budget
+
+  /// Arms the timeout and the budget on `ctx` and makes it the request's
+  /// context.
+  void Arm(RunContext* ctx);
+};
+
+/// The one parse of a mine request, for `fdtool` (every command), `fdtool
+/// client` and MINE. Reads the `kMineKeys` of `values` in `spelling` and
+/// ignores every other key. The rules:
+///   - algo: one of `MinerNames()`; default depminer.
+///   - threads: a non-negative integer, 0 meaning every core; default 1.
+///   - arity, topk: positive integers; absent means no cap / unranked. An
+///     explicit 0 would silently mean the same, so it is refused.
+///   - error: a real number in [0,1), accepted with algo=tane only.
+///   - timeout, budget: non-negative integers, 0 meaning none. A limit past
+///     what the clock or `size_t` can represent is none too.
+/// An integer above UINT64_MAX is malformed. A broken rule is an
+/// `InvalidArgument` that names the key as `spelling` spells it.
+Result<ParsedMineRequest> ParseMineRequest(
+    const std::map<std::string, std::string>& values, KeySpelling spelling);
 
 /// One mined cover plus how the run ended.
 struct MineOutcome {

@@ -76,7 +76,8 @@ ClassLabelTable ClassLabelTable::Build(const StrippedPartitionDatabase& db,
     uint32_t class_lo, class_hi;
   };
   const size_t target = std::max<size_t>(
-      4096, db.TotalMemberships() / (8 * std::max<size_t>(1, num_threads)));
+      4096, db.TotalMemberships() /
+                (8 * std::clamp<size_t>(num_threads, 1, kMaxPoolWorkers)));
   std::vector<Unit> units;
   for (AttributeId a = 0; a < db.num_attributes(); ++a) {
     const StrippedPartition::Classes classes = db.partition(a).classes();

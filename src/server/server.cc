@@ -15,7 +15,6 @@
 #include "common/log.h"
 #include "common/parallel.h"
 #include "common/run_context.h"
-#include "common/strings.h"
 #include "core/mine_by_name.h"
 #include "fault/fault.h"
 #include "relation/csv.h"
@@ -41,13 +40,6 @@ std::string ParamOr(const Request& request, const char* key,
                     const std::string& fallback) {
   const auto it = request.params.find(key);
   return it == request.params.end() ? fallback : it->second;
-}
-
-/// Parses an optional non-negative integer param; false on malformed.
-bool ParseUintParam(const Request& request, const char* key, uint64_t* out) {
-  const auto it = request.params.find(key);
-  if (it == request.params.end()) return true;
-  return ParseUint64(it->second, out);
 }
 
 }  // namespace
@@ -332,37 +324,19 @@ std::string Server::DoMine(const Request& request) {
         "[timeout_ms=] [budget_mb=] [nocache=1]"));
   }
   const std::string& name = request.positional[0];
-  const std::string algo = ParamOr(request, "algo", "depminer");
-  if (!IsKnownMiner(algo)) {
-    return FormatError(Status::InvalidArgument(
-        "unknown algo '" + algo + "' (" + MinerNames() + ")"));
-  }
-  MiningOptions mining;
-  uint64_t arity = 0, topk = 0, timeout_ms = 0, budget_mb = 0;
-  uint64_t threads = options_.num_threads;
-  if (!ParseUintParam(request, "arity", &arity) ||
-      !ParseUintParam(request, "topk", &topk) ||
-      !ParseUintParam(request, "timeout_ms", &timeout_ms) ||
-      !ParseUintParam(request, "budget_mb", &budget_mb) ||
-      !ParseUintParam(request, "threads", &threads)) {
-    return FormatError(
-        Status::InvalidArgument("malformed integer parameter"));
-  }
-  mining.max_lhs_arity = arity;
-  mining.top_k = topk;
-  const auto error_it = request.params.find("error");
-  if (error_it != request.params.end() &&
-      !ParseDouble(error_it->second, &mining.max_g3_error)) {
-    return FormatError(
-        Status::InvalidArgument("malformed error parameter"));
-  }
-  const Status valid = mining.Validate();
-  if (!valid.ok()) return FormatError(valid);
-  // A request may use fewer lanes than the daemon's per-request default,
-  // never more: one client cannot oversubscribe the pool for everyone.
-  threads = std::clamp<uint64_t>(
-      threads, 1, static_cast<uint64_t>(std::max<size_t>(
-                      options_.num_threads, 1)));
+  Result<ParsedMineRequest> parsed =
+      ParseMineRequest(request.params, KeySpelling::kWire);
+  if (!parsed.ok()) return FormatError(parsed.status());
+  const std::string& algo = parsed.value().algo;
+  MineRequest& mine = parsed.value().request;
+  const MiningOptions& mining = mine.mining;
+  // No threads= means the daemon's own lanes. A request may use fewer
+  // lanes than that, never more: one client cannot oversubscribe the pool
+  // for everyone.
+  const size_t lanes = std::max<size_t>(options_.num_threads, 1);
+  mine.num_threads = request.params.count("threads") == 0
+                         ? lanes
+                         : std::clamp<size_t>(mine.num_threads, 1, lanes);
   const bool nocache = ParamOr(request, "nocache", "0") == "1";
 
   // A ranked (top-k) reply is a truncation and never cached. v1-manifest
@@ -406,15 +380,8 @@ std::string Server::DoMine(const Request& request) {
   }
 
   RunContext ctx;
-  if (timeout_ms > 0) {
-    ctx.SetTimeout(std::chrono::milliseconds(timeout_ms));
-  }
-  if (budget_mb > 0) {
-    ctx.SetMemoryBudget(static_cast<size_t>(budget_mb) * 1024 * 1024);
-  }
-
-  Result<MineOutcome> mined = MineByName(
-      *relation, algo, {static_cast<size_t>(threads), &ctx, mining});
+  parsed.value().Arm(&ctx);
+  Result<MineOutcome> mined = MineByName(*relation, algo, mine);
   if (!mined.ok()) return FormatError(mined.status());
   const MineOutcome& outcome = mined.value();
 

@@ -54,11 +54,13 @@ set_tests_properties(cli.missing_file PROPERTIES WILL_FAIL TRUE)
 # A -DDEPMINER_TRACING=OFF build collects no spans, so only the flags'
 # basic plumbing can be asserted there.
 if(DEPMINER_TRACING)
+  # The session covers the input load too: `phase/load` sorts after
+  # `phase/agree` in the summary.
   add_test(NAME cli.mine_trace COMMAND fdtool mine ${DATA}/orders.csv
            --threads=2 --trace=${CMAKE_CURRENT_BINARY_DIR}/cli_trace.json
            --metrics)
   set_tests_properties(cli.mine_trace PROPERTIES
-      PASS_REGULAR_EXPRESSION "phase/agree")
+      PASS_REGULAR_EXPRESSION "phase/agree.*phase/load")
 else()
   add_test(NAME cli.mine_trace COMMAND fdtool mine ${DATA}/orders.csv
            --threads=2 --trace=${CMAKE_CURRENT_BINARY_DIR}/cli_trace.json
@@ -240,6 +242,15 @@ add_test(NAME cli.unknown_algo
         -DFDTOOL=$<TARGET_FILE:fdtool>
         -DDATA=${DATA}
         -P ${CMAKE_CURRENT_SOURCE_DIR}/cli_unknown_algo_test.cmake)
+
+# The mine-request keys are parsed once, under one set of rules and
+# messages, on every command (client included).
+add_test(NAME cli.request_flags
+    COMMAND ${CMAKE_COMMAND}
+        -DFDTOOL=$<TARGET_FILE:fdtool>
+        -DDATA=${DATA}
+        -DWORK=${CMAKE_CURRENT_BINARY_DIR}
+        -P ${CMAKE_CURRENT_SOURCE_DIR}/cli_request_flags_test.cmake)
 
 add_test(NAME cli.catalog
     COMMAND ${CMAKE_COMMAND}

@@ -149,6 +149,17 @@ TEST(ParallelForSlotted, NestedLoopRunsInlineWithoutDeadlock) {
   EXPECT_EQ(total.load(), 800u);
 }
 
+// A lane count past the pool's cap plans like the cap: the grain formula
+// divides by 8 * lanes, which wraps to 0 at a multiple of 2^61.
+TEST(MorselPlan, LaneCountPastThePoolCapKeepsAPositiveGrain) {
+  // volatile keeps the compiler from folding the division by a constant.
+  volatile size_t lanes = size_t{1} << 61;
+  const MorselPlan plan(0, 1'000'000, lanes);
+  EXPECT_GT(plan.grain, 0u);
+  EXPECT_GT(plan.count, 0u);
+  EXPECT_EQ(plan.grain, MorselPlan(0, 1'000'000, kMaxPoolWorkers).grain);
+}
+
 TEST(ParallelSort, MatchesStdSortAtEveryThreadCount) {
   Rng rng(7);
   std::vector<uint64_t> data(100000);

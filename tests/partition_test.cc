@@ -224,6 +224,23 @@ TEST(ClassLabelTable, LabelsMatchPartitionClasses) {
   }
 }
 
+// The unit size divides by 8 * lanes, which wraps to 0 at a multiple of
+// 2^61; the lanes clamp to the pool's cap first. A tiny relation has one
+// unit per attribute, so the build runs on at most that many lanes.
+TEST(ClassLabelTable, LaneCountPastThePoolCapMatchesOneLane) {
+  const Relation r = RandomRelation(4, 30, 3, 7);
+  const StrippedPartitionDatabase db =
+      StrippedPartitionDatabase::FromRelation(r);
+  const ClassLabelTable serial = ClassLabelTable::Build(db, 1);
+  const ClassLabelTable huge = ClassLabelTable::Build(db, size_t{1} << 61);
+  ASSERT_EQ(serial.bytes(), huge.bytes());
+  for (AttributeId a = 0; a < db.num_attributes(); ++a) {
+    for (TupleId t = 0; t < db.num_tuples(); ++t) {
+      ASSERT_EQ(serial.Label(t, a), huge.Label(t, a));
+    }
+  }
+}
+
 TEST(ClassLabelTable, ThreadCountInvariance) {
   const Relation r = RandomRelation(9, 120, 4, 5);
   const StrippedPartitionDatabase db =

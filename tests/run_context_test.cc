@@ -51,6 +51,17 @@ TEST(RunContext, FutureDeadlineDoesNotTrip) {
   EXPECT_TRUE(ctx.Check().ok());
 }
 
+// now() + timeout past the clock's range would wrap into the past and
+// trip at once; such a timeout arms nothing instead.
+TEST(RunContext, TimeoutPastTheClockRangeIsNoDeadline) {
+  RunContext ctx;
+  ctx.SetTimeout(std::chrono::milliseconds(9'300'000'000'000));
+  ctx.SetTimeout(std::chrono::milliseconds::max());
+  EXPECT_FALSE(ctx.limited());
+  EXPECT_TRUE(ctx.Check().ok());
+  EXPECT_EQ(ctx.DeadlineSlackNs(), INT64_MAX);
+}
+
 TEST(RunContext, CancellationTripsAndTakesPrecedence) {
   RunContext ctx;
   ctx.SetDeadline(RunContext::Clock::now() - std::chrono::milliseconds(1));

@@ -2,20 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "catalog/catalog.h"
+#include "common/strings.h"
 #include "core/dep_miner.h"
 #include "core/mine_by_name.h"
+#include "datagen/synthetic.h"
 #include "fault/fault.h"
 #include "relation/csv.h"
 #include "server/client.h"
@@ -454,17 +458,38 @@ TEST_F(ServerTest, MineValidatesItsParameters) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().code, "NotFound");
 
-  r = client.Call("mine ds algo=bogus");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().code, "InvalidArgument");
-
-  r = client.Call("mine ds arity=abc");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().code, "InvalidArgument");
-
-  r = client.Call("mine ds error=1.5");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().code, "InvalidArgument");
+  // The rules and texts `fdtool` applies to its flags, each key named in
+  // its wire spelling. The parse precedes any catalog access, so an
+  // unknown dataset answers the same.
+  const std::pair<const char*, const char*> kRejected[] = {
+      {"algo=bogus",
+       "unknown algo \"bogus\" (depminer|depminer2|tane|fastfds|fdep)"},
+      {"arity=0", "arity must be a positive integer, got \"0\""},
+      {"topk=0", "topk must be a positive integer, got \"0\""},
+      {"arity=abc", "arity must be a positive integer, got \"abc\""},
+      {"threads=abc", "threads must be a non-negative integer, got \"abc\""},
+      {"timeout_ms=-5",
+       "timeout_ms must be a non-negative integer, got \"-5\""},
+      {"timeout_ms=99999999999999999999",
+       "timeout_ms must be a non-negative integer, got "
+       "\"99999999999999999999\""},
+      {"budget_mb=18446744073709551616",
+       "budget_mb must be a non-negative integer, got "
+       "\"18446744073709551616\""},
+      {"error=1.5", "error must be a real number in [0,1), got \"1.5\""},
+      {"algo=depminer error=0.1",
+       "error (approximate discovery) requires mine algo=tane"},
+      {"algo=depminer error=0",
+       "error (approximate discovery) requires mine algo=tane"},
+  };
+  for (const auto& [params, message] : kRejected) {
+    for (const char* dataset : {"ds", "nope"}) {
+      r = client.Call(std::string("mine ") + dataset + " " + params);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.value().code, "InvalidArgument") << dataset << " " << params;
+      EXPECT_EQ(r.value().message, message) << dataset << " " << params;
+    }
+  }
 
   r = client.Call("bogus-verb");
   ASSERT_TRUE(r.ok());
@@ -515,6 +540,54 @@ TEST_F(ServerTest, MineMatchesTheOneShotCoverForEveryMiner) {
                 "depminer|depminer2|tane|fastfds|fdep"),
             std::string::npos)
       << unknown.value().message;
+}
+
+// A MINE's timeout_ms= and budget_mb= govern its own RunContext. A 1 MiB
+// budget trips on a relation that charges more (5000 x 15 charges about
+// 1.5 MB) with a sound partial cover that is never cached; a limit past
+// what the clock or size_t can represent is no limit.
+TEST_F(ServerTest, MineLimitsTripSoundlyAndSaturatePastTheirRange) {
+  StartServer();
+  ServerClient client = Connect();
+  SyntheticConfig config;
+  config.num_tuples = 5000;
+  config.num_attributes = 15;
+  config.identical_rate = 0.5;
+  config.seed = 42;
+  Result<Relation> generated = GenerateSynthetic(config);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  PutRelation(client, "ds", generated.value());
+
+  Result<Response> full = client.Call("mine ds nocache=1");
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(full.value().ok) << full.value().message;
+  ASSERT_EQ(full.value().params.at("complete"), "1");
+  const std::vector<std::string> cover = Split(full.value().body, '\n');
+
+  Result<Response> tripped = client.Call("mine ds budget_mb=1");
+  ASSERT_TRUE(tripped.ok());
+  ASSERT_TRUE(tripped.value().ok) << tripped.value().message;
+  EXPECT_EQ(tripped.value().params.at("complete"), "0");
+  EXPECT_EQ(tripped.value().params.at("trip"), "CapacityExceeded");
+  for (const std::string& line : Split(tripped.value().body, '\n')) {
+    EXPECT_NE(std::find(cover.begin(), cover.end(), line), cover.end())
+        << line;
+  }
+  Result<Response> next = client.Call("mine ds");
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE(next.value().ok) << next.value().message;
+  EXPECT_EQ(next.value().params.at("cached"), "0");
+  EXPECT_EQ(next.value().body, full.value().body);
+
+  for (const char* limit :
+       {"timeout_ms=9300000000000", "budget_mb=17592186044417"}) {
+    Result<Response> r =
+        client.Call(std::string("mine ds nocache=1 ") + limit);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r.value().ok) << limit << ": " << r.value().message;
+    EXPECT_EQ(r.value().params.at("complete"), "1") << limit;
+    EXPECT_EQ(r.value().body, full.value().body) << limit;
+  }
 }
 
 TEST_F(ServerTest, PutRejectsAmbiguousDelimiters) {

@@ -28,6 +28,15 @@ struct StressCase {
   uint64_t seed;
 };
 
+/// Prints as `a12_t2000_c0.3_z0_d0_s102` (attributes, tuples, identical
+/// rate, Zipf exponent, fixed domain, seed), which ctest puts in each
+/// case's id in place of gtest's index; the default byte dump would put
+/// the struct's 48 bytes there.
+void PrintTo(const StressCase& c, std::ostream* os) {
+  *os << 'a' << c.attrs << "_t" << c.tuples << "_c" << c.rate << "_z"
+      << c.zipf << "_d" << c.fixed_domain << "_s" << c.seed;
+}
+
 class StressSweep : public ::testing::TestWithParam<StressCase> {};
 
 TEST_P(StressSweep, AllProductionAlgorithmsAgree) {
